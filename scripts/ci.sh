@@ -53,7 +53,11 @@ gate_build() {
 }
 gate_tests() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-    -E "check_warnings|check_sanitize_asan|check_sanitize_tsan|perf_regress"
+    -E "check_warnings|check_sanitize_asan|check_sanitize_tsan|perf_regress" &&
+    # Threaded suites again, three passes under contention: a flake that
+    # one pass misses fails the gate here.
+    ctest --test-dir "${build_dir}" --output-on-failure -j4 -L threaded \
+      --repeat until-fail:3
 }
 gate_fault() {
   # Crash-safety suite: checkpoint fuzzing, fault-injected atomic writes,

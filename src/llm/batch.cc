@@ -13,23 +13,28 @@ namespace lcrec::llm {
 
 namespace {
 
-/// Cached metric handles for the batched decoder (lcrec.llm.genb.*).
-struct BatchMetrics {
+/// Cached metric handles for the engine's share of the constrained-decode
+/// family (lcrec.llm.gen.*; GenerateItems records queries/latency_ms).
+struct EngineMetrics {
   obs::Counter& ticks;
-  obs::Counter& token_forwards;
+  obs::Counter& token_forwards;   // tokens fed to the model, prompts included
+  obs::Counter& trie_mask_hits;   // (beam, code) expansions the trie allowed
+  obs::Counter& beam_pruned;      // candidates dropped by the beam cap
   obs::Counter& retired;
   obs::Counter& partial;
   obs::Histogram& lanes_per_tick;
 
-  static BatchMetrics& Get() {
-    static BatchMetrics* m = [] {
+  static EngineMetrics& Get() {
+    static EngineMetrics* m = [] {
       obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-      return new BatchMetrics{
-          r.GetCounter("lcrec.llm.genb.ticks"),
-          r.GetCounter("lcrec.llm.genb.token_forwards"),
-          r.GetCounter("lcrec.llm.genb.retired"),
-          r.GetCounter("lcrec.llm.genb.partial"),
-          r.GetHistogram("lcrec.llm.genb.lanes_per_tick",
+      return new EngineMetrics{
+          r.GetCounter("lcrec.llm.gen.ticks"),
+          r.GetCounter("lcrec.llm.gen.token_forwards"),
+          r.GetCounter("lcrec.llm.gen.trie_mask_hits"),
+          r.GetCounter("lcrec.llm.gen.beam_pruned"),
+          r.GetCounter("lcrec.llm.gen.retired"),
+          r.GetCounter("lcrec.llm.gen.partial"),
+          r.GetHistogram("lcrec.llm.gen.lanes_per_tick",
                          obs::Histogram::LinearBounds(1.0, 32.0, 32)),
       };
     }();
@@ -48,10 +53,6 @@ BatchEngine::BatchEngine(const MiniLlm& model, const quant::PrefixTrie& trie,
       max_depth_(token_map.levels()) {
   LCREC_CHECK_GT(beam_size_, 0);
   LCREC_CHECK_GT(max_depth_, 0);
-}
-
-void BatchEngine::Admit(uint64_t tag, std::vector<int> prompt, int top_n) {
-  Admit(tag, std::move(prompt), top_n, LaneOptions{});
 }
 
 void BatchEngine::Admit(uint64_t tag, std::vector<int> prompt, int top_n,
@@ -74,9 +75,9 @@ BatchResult BatchEngine::RetireLane(Lane& lane, bool partial) {
   if (static_cast<int>(lane.done.size()) > lane.top_n) {
     lane.done.resize(static_cast<size_t>(lane.top_n));
   }
-  BatchMetrics& bm = BatchMetrics::Get();
-  bm.retired.Increment();
-  if (partial) bm.partial.Increment();
+  EngineMetrics& em = EngineMetrics::Get();
+  em.retired.Increment();
+  if (partial) em.partial.Increment();
   return {lane.tag, std::move(lane.done), lane.ticks,
           lane.decode_us,   partial,      lane.beam};
 }
@@ -104,20 +105,19 @@ std::vector<BatchResult> BatchEngine::Tick() {
   }
   if (lanes_.empty()) return finished;
 
-  BatchMetrics& bm = BatchMetrics::Get();
-  bm.ticks.Increment();
-  bm.lanes_per_tick.Observe(static_cast<double>(lanes_.size()));
+  EngineMetrics& em = EngineMetrics::Get();
+  em.ticks.Increment();
+  em.lanes_per_tick.Observe(static_cast<double>(lanes_.size()));
 
   // Phase 1: plan this tick's work per lane — a prompt prefill for fresh
   // lanes, or one child beam per surviving candidate for running lanes.
-  // The candidate construction mirrors GenerateItems() exactly.
   size_t n = lanes_.size();
   std::vector<std::vector<BeamCandidate>> cands(n);
   std::vector<std::vector<Beam>> children(n);
-  // Lanes that run a candidate expansion this tick (vs a prompt
-  // prefill). One expansion == one iteration of GenerateItems()'s depth
-  // loop, so completion below follows exactly its loop-exit rule.
+  // Lanes that run a candidate expansion (one trie level) this tick, vs
+  // a prompt prefill.
   std::vector<bool> expanding(n, false);
+  int64_t allowed = 0, pruned = 0;
   for (size_t i = 0; i < n; ++i) {
     Lane& lane = lanes_[i];
     expanding[i] = lane.prefilled;
@@ -142,8 +142,10 @@ std::vector<BatchResult> BatchEngine::Tick() {
         cand.push_back({static_cast<int>(b), code, tok, lp});
       }
     }
+    allowed += static_cast<int64_t>(cand.size());
     std::sort(cand.begin(), cand.end(), BeamCandidateOrder);
     if (static_cast<int>(cand.size()) > lane.beam) {
+      pruned += static_cast<int64_t>(cand.size()) - lane.beam;
       cand.resize(static_cast<size_t>(lane.beam));
     }
     children[i].reserve(cand.size());
@@ -156,6 +158,9 @@ std::vector<BatchResult> BatchEngine::Tick() {
       children[i].push_back(std::move(child));
     }
   }
+
+  em.trie_mask_hits.Add(allowed);
+  em.beam_pruned.Add(pruned);
 
   // Phase 2: one batched forward over every planned unit. Pointers are
   // gathered only now, after all per-lane vectors stopped growing.
@@ -185,7 +190,7 @@ std::vector<BatchResult> BatchEngine::Tick() {
   }
   if (!units.empty()) {
     std::vector<core::Tensor> logits = model_.ForwardBatch(caches, toks);
-    bm.token_forwards.Add(fed_tokens);
+    em.token_forwards.Add(fed_tokens);
     for (size_t u = 0; u < units.size(); ++u) {
       Lane& lane = lanes_[units[u].lane];
       if (units[u].child < 0) {
@@ -242,21 +247,17 @@ std::vector<BatchResult> BatchEngine::Tick() {
   return finished;
 }
 
-std::vector<std::vector<ScoredItem>> GenerateItemsBatch(
-    const MiniLlm& model, const std::vector<std::vector<int>>& prompts,
-    const quant::PrefixTrie& trie, const IndexTokenMap& token_map,
-    int beam_size, int top_n) {
+BatchResult DecodeLane(const MiniLlm& model, const quant::PrefixTrie& trie,
+                       const IndexTokenMap& token_map, int beam_size,
+                       std::vector<int> prompt, int top_n,
+                       const LaneOptions& opts) {
   BatchEngine engine(model, trie, token_map, beam_size);
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    engine.Admit(static_cast<uint64_t>(i), prompts[i], top_n);
-  }
-  std::vector<std::vector<ScoredItem>> out(prompts.size());
+  engine.Admit(0, std::move(prompt), top_n, opts);
+  BatchResult result;
   while (!engine.Idle()) {
-    for (BatchResult& r : engine.Tick()) {
-      out[static_cast<size_t>(r.tag)] = std::move(r.items);
-    }
+    for (BatchResult& r : engine.Tick()) result = std::move(r);
   }
-  return out;
+  return result;
 }
 
 }  // namespace lcrec::llm

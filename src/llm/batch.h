@@ -39,35 +39,36 @@ struct LaneOptions {
   int beam_cap = 0;
 };
 
-/// Continuous-batching engine for trie-constrained beam search: every
-/// admitted request becomes a lane holding its own beam set, and each
-/// Tick() runs ONE batched model forward (MiniLlm::ForwardBatch) over
-/// the pending token expansions of every lane, then advances each lane
-/// by one trie level (or by its prompt prefill). Lanes finish
-/// independently and new lanes can be admitted between any two ticks,
-/// so a long prefill never drains the batch — the scheduler keeps the
-/// matmuls occupied with whatever work exists (InferLLM-style
-/// request-level batching).
+/// Trie-constrained beam search (Section III-D2) as a continuous-batching
+/// engine, and the only implementation of it: GenerateItems() and the
+/// server's inline path run it with one lane. Every admitted request
+/// becomes a lane holding its own beam set, and each Tick() runs ONE
+/// batched model forward (MiniLlm::ForwardBatch) over the pending token
+/// expansions of every lane, then advances each lane by one trie level
+/// (or by its prompt prefill). Lanes finish independently and new lanes
+/// can be admitted between any two ticks, so a long prefill never drains
+/// the batch — the scheduler keeps the matmuls occupied with whatever
+/// work exists (InferLLM-style request-level batching).
 ///
-/// Per lane, the candidate scoring, ordering (BeamCandidateOrder /
-/// ScoredItemOrder), pruning, and forward arithmetic are exactly those
-/// of the sequential GenerateItems(), so a lane's result is
-/// bit-identical to decoding it alone (asserted in tests; the serving
-/// layer depends on this).
+/// Per lane, candidates are scored against the lane's own logits,
+/// ordered by BeamCandidateOrder, cut to the lane's beam width, and
+/// finished items ranked by ScoredItemOrder; nothing depends on the
+/// other lanes in the tick, so a lane's result is bit-identical to
+/// decoding it alone (asserted in tests against a sequential reference
+/// decoder and pinned golden outputs; the serving layer depends on it).
 ///
 /// Not thread-safe: one thread drives Admit()/Tick() (the serve
-/// scheduler or a test loop).
+/// scheduler or a one-lane caller).
 class BatchEngine {
  public:
   BatchEngine(const MiniLlm& model, const quant::PrefixTrie& trie,
               const IndexTokenMap& token_map, int beam_size);
 
-  /// Adds a decode lane. `tag` is an opaque caller id returned with the
-  /// lane's BatchResult; `prompt` must be non-empty.
-  void Admit(uint64_t tag, std::vector<int> prompt, int top_n);
-  /// Adds a decode lane with a deadline budget and/or beam cap.
+  /// Adds a decode lane, with a deadline budget and/or beam cap in
+  /// `opts`. `tag` is an opaque caller id returned with the lane's
+  /// BatchResult; `prompt` must be non-empty.
   void Admit(uint64_t tag, std::vector<int> prompt, int top_n,
-             const LaneOptions& opts);
+             const LaneOptions& opts = {});
 
   int ActiveLanes() const { return static_cast<int>(lanes_.size()); }
   bool Idle() const { return lanes_.empty(); }
@@ -109,13 +110,13 @@ class BatchEngine {
   std::vector<Lane> lanes_;
 };
 
-/// Decodes `prompts` jointly through a BatchEngine; results are indexed
-/// like `prompts`. Identical output to calling GenerateItems() per
-/// prompt, at batched-forward cost.
-std::vector<std::vector<ScoredItem>> GenerateItemsBatch(
-    const MiniLlm& model, const std::vector<std::vector<int>>& prompts,
-    const quant::PrefixTrie& trie, const IndexTokenMap& token_map,
-    int beam_size = 20, int top_n = 10);
+/// Decodes one prompt on a private one-lane engine: Admit, then Tick
+/// until idle. The engine's drive loop for callers that decode on their
+/// own thread (GenerateItems, the server's inline fast path).
+BatchResult DecodeLane(const MiniLlm& model, const quant::PrefixTrie& trie,
+                       const IndexTokenMap& token_map, int beam_size,
+                       std::vector<int> prompt, int top_n,
+                       const LaneOptions& opts = {});
 
 }  // namespace lcrec::llm
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "llm/batch.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -12,13 +13,11 @@ namespace lcrec::llm {
 
 namespace {
 
-/// Cached metric handles for constrained decoding (lcrec.llm.gen.*).
+/// Per-call metric handles of constrained decoding; the rest of the
+/// lcrec.llm.gen.* family is recorded by BatchEngine.
 struct GenMetrics {
   obs::Histogram& latency_ms;
   obs::Counter& queries;
-  obs::Counter& trie_mask_hits;   // (beam, code) expansions the trie allowed
-  obs::Counter& beam_pruned;      // candidates dropped by the beam cap
-  obs::Counter& token_forwards;   // single-token model forwards
 
   static GenMetrics& Get() {
     static GenMetrics* m = [] {
@@ -27,9 +26,6 @@ struct GenMetrics {
           r.GetHistogram("lcrec.llm.gen.latency_ms",
                          obs::Histogram::ExponentialBounds(0.1, 1.6, 28)),
           r.GetCounter("lcrec.llm.gen.queries"),
-          r.GetCounter("lcrec.llm.gen.trie_mask_hits"),
-          r.GetCounter("lcrec.llm.gen.beam_pruned"),
-          r.GetCounter("lcrec.llm.gen.token_forwards"),
       };
     }();
     return *m;
@@ -86,69 +82,13 @@ std::vector<ScoredItem> GenerateItems(const MiniLlm& model,
                                       const quant::PrefixTrie& trie,
                                       const IndexTokenMap& token_map,
                                       int beam_size, int top_n) {
-  LCREC_CHECK(!prompt.empty());
   obs::ScopedSpan span("llm.generate_items");
+  std::vector<ScoredItem> items =
+      DecodeLane(model, trie, token_map, beam_size, prompt, top_n).items;
   GenMetrics& gm = GenMetrics::Get();
-  struct Beam {
-    std::vector<int> codes;
-    float logp = 0.0f;
-    MiniLlm::KvCache cache;
-    core::Tensor logits;  // [1, vocab] after the last fed token
-  };
-
-  Beam root;
-  root.cache = model.MakeCache();
-  root.logits = model.Forward(root.cache, prompt);
-  std::vector<Beam> active;
-  active.push_back(std::move(root));
-  std::vector<ScoredItem> done;
-
-  int max_depth = token_map.levels();
-  for (int depth = 0; depth < max_depth && !active.empty(); ++depth) {
-    std::vector<BeamCandidate> candidates;
-    for (size_t b = 0; b < active.size(); ++b) {
-      Beam& beam = active[b];
-      std::vector<int> next = trie.NextCodes(beam.codes);
-      if (next.empty()) continue;  // defensive; completed beams are removed
-      float lse = LogSumExp(beam.logits);
-      int level = static_cast<int>(beam.codes.size());
-      for (int code : next) {
-        int tok = token_map.TokenId(level, code);
-        if (tok < 0) continue;
-        float lp = beam.logp + (beam.logits.at(tok) - lse);
-        candidates.push_back({static_cast<int>(b), code, tok, lp});
-      }
-    }
-    gm.trie_mask_hits.Add(static_cast<int64_t>(candidates.size()));
-    std::sort(candidates.begin(), candidates.end(), BeamCandidateOrder);
-    if (static_cast<int>(candidates.size()) > beam_size) {
-      gm.beam_pruned.Add(static_cast<int64_t>(candidates.size()) - beam_size);
-      candidates.resize(beam_size);
-    }
-    std::vector<Beam> next_active;
-    next_active.reserve(candidates.size());
-    for (const BeamCandidate& c : candidates) {
-      Beam child;
-      child.codes = active[c.beam].codes;
-      child.codes.push_back(c.code);
-      child.logp = c.logp;
-      child.cache = active[c.beam].cache;  // copy
-      child.logits = model.Forward(child.cache, {c.token});
-      gm.token_forwards.Increment();
-      int item = trie.ItemAt(child.codes);
-      if (item >= 0 && trie.NextCodes(child.codes).empty()) {
-        done.push_back({item, child.logp});
-      } else {
-        next_active.push_back(std::move(child));
-      }
-    }
-    active = std::move(next_active);
-  }
-  std::sort(done.begin(), done.end(), ScoredItemOrder);
-  if (static_cast<int>(done.size()) > top_n) done.resize(top_n);
   gm.queries.Increment();
   gm.latency_ms.Observe(span.ElapsedMs());
-  return done;
+  return items;
 }
 
 float ScoreContinuation(const MiniLlm& model, const std::vector<int>& prompt,

@@ -35,7 +35,8 @@ struct ScoredItem {
   float logprob = 0.0f;
 };
 
-/// One candidate expansion of a beam during constrained search.
+/// One candidate expansion of a beam during constrained search
+/// (BatchEngine::Tick).
 struct BeamCandidate {
   int beam = 0;   // index into the active beam set
   int code = 0;   // trie code being appended
@@ -43,10 +44,10 @@ struct BeamCandidate {
   float logp = 0.0f;
 };
 
-/// The deterministic ordering contract of constrained decoding, shared
-/// by the sequential and batched paths so both return bit-identical
-/// rankings. Log-prob ties are broken structurally (parent beam, then
-/// code / item id), never by allocation or sort-implementation order.
+/// The deterministic ordering contract of constrained decoding (the
+/// engine and the tests' reference decoder both sort by it). Log-prob
+/// ties are broken structurally (parent beam, then code / item id),
+/// never by allocation, lane, or sort-implementation order.
 inline bool BeamCandidateOrder(const BeamCandidate& a,
                                const BeamCandidate& b) {
   if (a.logp != b.logp) return a.logp > b.logp;
@@ -59,15 +60,15 @@ inline bool ScoredItemOrder(const ScoredItem& a, const ScoredItem& b) {
   return a.item < b.item;
 }
 
-/// log softmax normalizer of a [1, vocab] logits row. Shared by the
-/// sequential and batched constrained decoders (identical arithmetic is
-/// part of the equivalence contract).
+/// log softmax normalizer of a [1, vocab] logits row (candidate scoring
+/// and teacher-forced scoring).
 float LogSumExp(const core::Tensor& logits);
 
 /// Trie-constrained beam search over item-index tokens (Section III-D2):
 /// at every step, only tokens continuing a valid item prefix keep their
 /// probability; everything else is masked. Returns up to `top_n` complete
-/// items ranked by sequence log-probability.
+/// items ranked by sequence log-probability. Runs a one-lane BatchEngine
+/// (llm/batch.h), so its rankings equal the batched server's bit for bit.
 std::vector<ScoredItem> GenerateItems(const MiniLlm& model,
                                       const std::vector<int>& prompt,
                                       const quant::PrefixTrie& trie,

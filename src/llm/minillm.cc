@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/check.h"
 #include "obs/flops.h"
@@ -99,18 +100,6 @@ MiniLlm::KvCache MiniLlm::MakeCache() const {
 
 namespace {
 
-// y[n] = x[d] * W[d, n]
-void VecMat(const float* x, const core::Tensor& w, float* y) {
-  int64_t d = w.rows(), n = w.cols();
-  std::memset(y, 0, sizeof(float) * static_cast<size_t>(n));
-  for (int64_t p = 0; p < d; ++p) {
-    float xp = x[p];
-    if (xp == 0.0f) continue;
-    const float* wp = w.data() + p * n;
-    for (int64_t j = 0; j < n; ++j) y[j] += xp * wp[j];
-  }
-}
-
 void RmsNormVec(const float* x, const core::Tensor& gamma, int d, float* y) {
   float ss = 0.0f;
   for (int i = 0; i < d; ++i) ss += x[i] * x[i];
@@ -119,8 +108,7 @@ void RmsNormVec(const float* x, const core::Tensor& gamma, int d, float* y) {
 }
 
 /// Multi-head attention of one new token's query `q` against `ctx` cached
-/// K/V rows. Shared by the single-lane and batched decode paths so both
-/// run identical arithmetic.
+/// K/V rows.
 void AttendToken(const float* q, const float* kc, const float* vc, int ctx,
                  int heads, int dh, float scale, float* attn) {
   int d = heads * dh;
@@ -153,9 +141,9 @@ void AttendToken(const float* q, const float* kc, const float* vc, int ctx,
 
 /// ys[b][n] = xs[b][d] * W[d, n] for every lane b. Outer loop over W's
 /// rows, so each weight row is read once per step for all lanes instead
-/// of once per lane (the batching win on a memory-bound decode). Per
-/// lane, every ys[b][j] accumulates over p in the same order as VecMat,
-/// so the result is bit-identical to lane-at-a-time VecMat calls.
+/// of once per lane (the batching win on a memory-bound decode). Every
+/// ys[b][j] accumulates over p in ascending order whatever the lane
+/// count, so a lane's result does not depend on which lanes share it.
 void VecMatBatch(const std::vector<const float*>& xs, const core::Tensor& w,
                  const std::vector<float*>& ys) {
   int64_t d = w.rows(), n = w.cols();
@@ -173,80 +161,9 @@ void VecMatBatch(const std::vector<const float*>& xs, const core::Tensor& w,
 
 }  // namespace
 
-core::Tensor MiniLlm::Forward(KvCache& cache, const std::vector<int>& tokens,
-                              bool all_logits) const {
-  int d = config_.d_model, heads = config_.n_heads;
-  int dh = d / heads;
-  float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  int n_new = static_cast<int>(tokens.size());
-  LCREC_CHECK_GT(n_new, 0);
-  LCREC_CHECK_LE(cache.length + n_new, config_.max_seq);
-  int vocab = config_.vocab_size;
-  core::Tensor out({all_logits ? n_new : 1, vocab});
-  obs::ScopedSpan span("llm.decode");
-  // Analytic cost, accumulated over the call: per token and layer the
-  // four d*d projections (8d^2), attention over the cached context
-  // (4*ctx*d), and the SwiGLU FFN (6*d*ff); plus 2*d*vocab per emitted
-  // logit row. Hand-rolled loops below, so no kernel counts itself.
-  int64_t acc_flops = 0, acc_bytes = 0;
-
-  std::vector<float> x(d), xn(d), q(d), kvec(d), vvec(d), attn(d), proj(d);
-  std::vector<float> gate(config_.d_ff), up(config_.d_ff), down(d);
-
-  for (int idx = 0; idx < n_new; ++idx) {
-    int tok = tokens[idx];
-    int pos = cache.length;
-    LCREC_CHECK_GE(tok, 0);
-    LCREC_CHECK_LT(tok, vocab);
-    for (int i = 0; i < d; ++i) {
-      x[i] = tok_emb_->value.at(static_cast<int64_t>(tok) * d + i) +
-             pos_emb_->value.at(static_cast<int64_t>(pos) * d + i);
-    }
-    for (int l = 0; l < config_.n_layers; ++l) {
-      const Layer& layer = layers_[l];
-      RmsNormVec(x.data(), layer.attn_norm->value, d, xn.data());
-      VecMat(xn.data(), layer.wq->value, q.data());
-      VecMat(xn.data(), layer.wk->value, kvec.data());
-      VecMat(xn.data(), layer.wv->value, vvec.data());
-      cache.k[l].insert(cache.k[l].end(), kvec.begin(), kvec.end());
-      cache.v[l].insert(cache.v[l].end(), vvec.begin(), vvec.end());
-      int ctx = pos + 1;  // rows available in the cache for this layer
-      AttendToken(q.data(), cache.k[l].data(), cache.v[l].data(), ctx, heads,
-                  dh, scale, attn.data());
-      VecMat(attn.data(), layer.wo->value, proj.data());
-      for (int i = 0; i < d; ++i) x[i] += proj[i];
-      RmsNormVec(x.data(), layer.ffn_norm->value, d, xn.data());
-      VecMat(xn.data(), layer.w1->value, gate.data());
-      VecMat(xn.data(), layer.w3->value, up.data());
-      for (int i = 0; i < config_.d_ff; ++i) {
-        float g = gate[i];
-        gate[i] = g / (1.0f + std::exp(-g)) * up[i];
-      }
-      VecMat(gate.data(), layer.w2->value, down.data());
-      for (int i = 0; i < d; ++i) x[i] += down[i];
-      acc_flops += 8LL * d * d + 4LL * ctx * d + 6LL * d * config_.d_ff;
-      acc_bytes += 4LL * (4LL * d * d + 3LL * d * config_.d_ff +
-                          2LL * ctx * d);
-    }
-    ++cache.length;
-    bool want = all_logits || idx == n_new - 1;
-    if (want) {
-      RmsNormVec(x.data(), final_norm_->value, d, xn.data());
-      int64_t row = all_logits ? idx : 0;
-      const core::Tensor& e = tok_emb_->value;
-      for (int vtok = 0; vtok < vocab; ++vtok) {
-        float dot = 0.0f;
-        const float* ev = e.data() + static_cast<int64_t>(vtok) * d;
-        for (int i = 0; i < d; ++i) dot += xn[i] * ev[i];
-        out.at(row * vocab + vtok) = dot;
-      }
-      acc_flops += 2LL * d * vocab;
-      acc_bytes += 4LL * d * vocab;
-    }
-  }
-  static obs::KernelFlops kf("llm.decode");
-  kf.Add(acc_flops, acc_bytes);
-  return out;
+core::Tensor MiniLlm::Forward(KvCache& cache,
+                              const std::vector<int>& tokens) const {
+  return std::move(ForwardBatch({&cache}, {tokens})[0]);
 }
 
 std::vector<core::Tensor> MiniLlm::ForwardBatch(
@@ -373,8 +290,7 @@ std::vector<core::Tensor> MiniLlm::ForwardBatch(
     }
     if (!emitting.empty()) {
       // Output head for every lane ending at this step; each embedding
-      // row is read once for all of them. Per lane the dot accumulates
-      // over i in Forward()'s order.
+      // row is read once for all of them.
       const core::Tensor& e = tok_emb_->value;
       for (int vtok = 0; vtok < vocab; ++vtok) {
         const float* ev = e.data() + static_cast<int64_t>(vtok) * d;

@@ -55,21 +55,19 @@ class MiniLlm {
   KvCache MakeCache() const;
 
   /// Plain (non-autograd) forward of `tokens` continuing `cache`; returns
-  /// the logits of every fed position as a [n, vocab] tensor when
-  /// `all_logits`, else only the last position as [1, vocab]. Must match
-  /// BuildLogits exactly (asserted in tests).
-  core::Tensor Forward(KvCache& cache, const std::vector<int>& tokens,
-                       bool all_logits = false) const;
+  /// the [1, vocab] logits after the last fed token. A one-lane
+  /// ForwardBatch, so it matches BuildLogits within float tolerance
+  /// (asserted in tests).
+  core::Tensor Forward(KvCache& cache, const std::vector<int>& tokens) const;
 
-  /// Batched decode: advances every lane's cache by its token list and
-  /// returns one [1, vocab] logits tensor per lane (the logits after that
-  /// lane's last fed token). Lanes may have different lengths (ragged
-  /// prefill next to single-token decode); processing is step-synchronous,
-  /// so the weight matrices are traversed once per step for all lanes
-  /// instead of once per lane. The per-lane arithmetic keeps the exact
-  /// accumulation order of Forward(), so a lane's logits are bit-identical
-  /// to running it alone (asserted in tests; the serving layer relies on
-  /// batched == sequential results).
+  /// The decode model step: advances every lane's cache by its token list
+  /// and returns one [1, vocab] logits tensor per lane (the logits after
+  /// that lane's last fed token). Lanes may have different lengths
+  /// (ragged prefill next to single-token decode); processing is
+  /// step-synchronous, so the weight matrices are traversed once per step
+  /// for all lanes instead of once per lane. A lane's arithmetic does not
+  /// depend on the other lanes, so its logits are bit-identical to
+  /// running it alone (asserted in tests; batched serving relies on it).
   std::vector<core::Tensor> ForwardBatch(
       const std::vector<KvCache*>& caches,
       const std::vector<std::vector<int>>& tokens) const;

@@ -121,14 +121,21 @@ bool ReadPerfRecordFile(const std::string& path, PerfRecord* out) {
   return ParsePerfRecordJson(buf.str(), out);
 }
 
-bool HigherIsBetter(const std::string& metric) {
-  auto ends_with = [&metric](const char* suffix) {
-    std::string s(suffix);
-    return metric.size() >= s.size() &&
-           metric.compare(metric.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with("/gflops") || ends_with("/ops_per_sec") ||
-         ends_with("/items_per_sec") || ends_with("/req_per_sec");
+MetricDirection DirectionOf(const std::string& metric) {
+  static const char* const kHigher[] = {"gflops", "ops_per_sec",
+                                        "items_per_sec", "req_per_sec",
+                                        "roundtrips_per_sec"};
+  static const char* const kLower[] = {"p50_ms", "p95_ms", "mean_ms"};
+  size_t slash = metric.rfind('/');
+  std::string suffix =
+      slash == std::string::npos ? std::string() : metric.substr(slash + 1);
+  for (const char* s : kHigher) {
+    if (suffix == s) return MetricDirection::kHigherIsBetter;
+  }
+  for (const char* s : kLower) {
+    if (suffix == s) return MetricDirection::kLowerIsBetter;
+  }
+  return MetricDirection::kUnknown;
 }
 
 PerfGateResult ComparePerf(const PerfRecord& baseline,
@@ -139,7 +146,10 @@ PerfGateResult ComparePerf(const PerfRecord& baseline,
     d.name = kv.first;
     d.baseline = kv.second.value;
     d.tolerance = kv.second.tolerance;
-    d.higher_is_better = HigherIsBetter(kv.first);
+    MetricDirection dir = DirectionOf(kv.first);
+    d.higher_is_better = dir == MetricDirection::kHigherIsBetter;
+    d.unknown_direction = dir == MetricDirection::kUnknown;
+    if (d.unknown_direction) result.ok = false;
     auto it = current.metrics.find(kv.first);
     if (it == current.metrics.end()) {
       d.missing = true;
@@ -151,8 +161,9 @@ PerfGateResult ComparePerf(const PerfRecord& baseline,
     if (d.baseline != 0.0) {
       d.change = (d.current - d.baseline) / std::abs(d.baseline);
     }
-    d.regressed = d.higher_is_better ? d.change < -d.tolerance
-                                     : d.change > d.tolerance;
+    d.regressed = !d.unknown_direction &&
+                  (d.higher_is_better ? d.change < -d.tolerance
+                                      : d.change > d.tolerance);
     if (d.regressed) result.ok = false;
     result.diffs.push_back(std::move(d));
   }
@@ -162,7 +173,10 @@ PerfGateResult ComparePerf(const PerfRecord& baseline,
     d.name = kv.first;
     d.current = kv.second.value;
     d.tolerance = kv.second.tolerance;
-    d.higher_is_better = HigherIsBetter(kv.first);
+    MetricDirection dir = DirectionOf(kv.first);
+    d.higher_is_better = dir == MetricDirection::kHigherIsBetter;
+    d.unknown_direction = dir == MetricDirection::kUnknown;
+    if (d.unknown_direction) result.ok = false;
     d.added = true;
     result.diffs.push_back(std::move(d));
   }
@@ -177,7 +191,9 @@ std::string FormatPerfDiff(const PerfGateResult& result) {
   out += line;
   for (const PerfDiff& d : result.diffs) {
     const char* status = "ok";
-    if (d.missing) {
+    if (d.unknown_direction) {
+      status = "NO DIRECTION";
+    } else if (d.missing) {
       status = "MISSING";
     } else if (d.added) {
       status = "new";

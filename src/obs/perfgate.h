@@ -52,6 +52,9 @@ struct PerfDiff {
   double change = 0.0;     // (current - baseline) / baseline
   double tolerance = 0.0;  // band that applied (from the baseline record)
   bool higher_is_better = false;
+  /// The name's suffix is not in the direction table: the gate cannot
+  /// tell a regression from an improvement, so the metric fails.
+  bool unknown_direction = false;
   bool regressed = false;
   bool missing = false;  // in baseline but not measured now (also fails)
   bool added = false;    // measured now but not in baseline (informational)
@@ -59,11 +62,16 @@ struct PerfDiff {
 
 struct PerfGateResult {
   std::vector<PerfDiff> diffs;  // baseline order, then added metrics
-  bool ok = true;               // no regression and no missing metric
+  bool ok = true;  // no regression, missing metric or unknown direction
 };
 
-/// True for metric names measured as throughput rather than latency.
-bool HigherIsBetter(const std::string& metric);
+enum class MetricDirection { kHigherIsBetter, kLowerIsBetter, kUnknown };
+
+/// Direction of a metric from its name's `/<suffix>`: throughput suffixes
+/// (gflops, *_per_sec) are higher-is-better, latency suffixes (p50_ms,
+/// p95_ms, mean_ms) lower-is-better. The table covers every suffix
+/// bench_perfgate records; any other name is kUnknown, never a guess.
+MetricDirection DirectionOf(const std::string& metric);
 
 PerfGateResult ComparePerf(const PerfRecord& baseline,
                            const PerfRecord& current);

@@ -160,9 +160,13 @@ void MetricsRegistry::DumpPrometheus(std::ostream& out) const {
       out << name << "_bucket{le=\"" << PromNumber(bounds[i]) << "\"} "
           << cumulative << '\n';
     }
-    out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n'
+    // +Inf and _count both print the snapshot's total (overflow bucket
+    // included), never a separate load of count(): concurrent Observe
+    // calls would make them disagree with each other and the buckets.
+    cumulative += buckets.back();
+    out << name << "_bucket{le=\"+Inf\"} " << cumulative << '\n'
         << name << "_sum " << PromNumber(h.sum()) << '\n'
-        << name << "_count " << h.count() << '\n';
+        << name << "_count " << cumulative << '\n';
   }
 }
 

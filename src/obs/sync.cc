@@ -248,7 +248,7 @@ std::string SpanStackString() {
 }
 
 // "thread 3 acquiring "serve.queue" while holding ["serve.state"];
-//  spans: serve.recommend > llm.decode"
+//  spans: serve.recommend > llm.decode_batch"
 std::string DescribeAcquisition(const ThreadSyncState* t,
                                 const LockNode* acquiring) {
   std::string out = "thread " + std::to_string(CurrentThreadId()) +

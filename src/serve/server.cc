@@ -265,13 +265,19 @@ RecommendResponse Server::Recommend(const RecommendRequest& request) {
   // Inline fast path: with an empty queue and no lane in flight there is
   // nothing to batch with, so decoding on this thread skips the
   // scheduler handoff entirely. The emptiness check is racy by design —
-  // a miss only costs one request the (correct) queued path.
+  // a miss only costs one request the (correct) queued path — but the
+  // slot is exclusive: concurrent callers that lose it queue, so they
+  // batch instead of each decoding alone.
+  bool inline_free = false;
   if (options_.inline_fast_path && queue_.empty() &&
-      active_lanes_.load(std::memory_order_relaxed) == 0) {
+      active_lanes_.load(std::memory_order_relaxed) == 0 &&
+      inline_busy_.compare_exchange_strong(inline_free, true,
+                                           std::memory_order_acquire)) {
     sm.inline_fast_path.Increment();
     stats_.inline_fast_path.fetch_add(1, std::memory_order_relaxed);
     pending->timeline.Mark("decode");
     DecodeInline(pending);
+    inline_busy_.store(false, std::memory_order_release);
     return WaitDone(pending, t0_us, /*coalesced=*/false, &pending->timeline);
   }
 
@@ -461,86 +467,81 @@ void Server::DegradeOrShed(const PendingPtr& pending, Status shed_status,
   ResolveDegraded(pending, std::move(resp), "popularity");
 }
 
-void Server::DecodeInline(const PendingPtr& pending) {
-  ServeMetrics& sm = ServeMetrics::Get();
+bool Server::DecodeAllowed(const PendingPtr& pending) {
   if (!breaker_.Allow()) {
-    sm.breaker_short_circuits.Increment();
+    ServeMetrics::Get().breaker_short_circuits.Increment();
     stats_.breaker_short_circuits.fetch_add(1, std::memory_order_relaxed);
     DegradeOrShed(pending, Status::kShedDecodeFailure, "breaker_open");
-    return;
+    return false;
   }
   if (!PassChaosDecode()) {
     breaker_.RecordFailure();
     DegradeOrShed(pending, Status::kShedDecodeFailure, "decode_failed");
-    return;
+    return false;
   }
-  if (pending->deadline_ms > 0.0 && options_.degraded_fallbacks) {
-    // Deadline-bearing inline decode: run a private one-lane engine so
-    // the deadline budget is enforced tick by tick (partial decode
-    // instead of a late full one).
-    double deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
-    double remaining_us = deadline_us - obs::NowMicros();
-    llm::LaneOptions lane;
-    lane.deadline_us = deadline_us;
-    if (remaining_us <
-        options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
-      lane.beam_cap = options_.degraded_beam;
-      pending->beam_capped = true;
-    }
-    llm::BatchEngine local(model_, trie_, token_map_, options_.beam_size);
-    local.Admit(1, pending->prompt, pending->top_n, lane);
-    llm::BatchResult result;
-    while (!local.Idle()) {
-      for (llm::BatchResult& r : local.Tick()) result = std::move(r);
-    }
-    stats_.decoded.fetch_add(1, std::memory_order_relaxed);
-    if (result.partial) {
-      breaker_.RecordFailure();
-      if (result.items.empty()) {
-        DegradeOrShed(pending, Status::kShedDeadline, "deadline_decode");
-        return;
-      }
-      pending->timeline.Mark("respond");
-      RecommendResponse resp;
-      resp.status = Status::kOk;
-      resp.inline_path = true;
-      resp.degrade = DegradeLevel::kBudgetCapped;
-      resp.items = std::move(result.items);
-      ResolveDegraded(pending, std::move(resp), "partial_decode");
+  return true;
+}
+
+void Server::DecodeInline(const PendingPtr& pending) {
+  if (!DecodeAllowed(pending)) return;
+  ResolveDecoded(pending,
+                 llm::DecodeLane(model_, trie_, token_map_, options_.beam_size,
+                                 pending->prompt, pending->top_n,
+                                 BudgetLane(pending.get(), obs::NowMicros())),
+                 /*inline_path=*/true);
+}
+
+llm::LaneOptions Server::BudgetLane(Pending* pending, double now_us) const {
+  llm::LaneOptions lane;
+  if (pending->deadline_ms <= 0.0 || !options_.degraded_fallbacks) return lane;
+  // Thread the deadline budget into the engine: the lane retires (with
+  // partial results) at the first tick past its deadline, and a lane
+  // admitted with most of its budget already burned decodes at the
+  // reduced beam — fewer forwards per tick buys more depth per ms.
+  lane.deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
+  if (lane.deadline_us - now_us <
+      options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
+    lane.beam_cap = options_.degraded_beam;
+    pending->beam_capped = true;
+  }
+  return lane;
+}
+
+void Server::ResolveDecoded(const PendingPtr& pending, llm::BatchResult result,
+                            bool inline_path) {
+  stats_.decoded.fetch_add(1, std::memory_order_relaxed);
+  if (result.partial) {
+    // Deadline budget exhausted mid-decode: the engine is too slow for
+    // this request's budget — a breaker-visible outcome.
+    breaker_.RecordFailure();
+    if (result.items.empty() || !options_.degraded_fallbacks) {
+      DegradeOrShed(pending, Status::kShedDeadline, "deadline_decode");
       return;
     }
+  } else {
     breaker_.RecordSuccess();
-    pending->timeline.Mark("respond");
     // Only a full-beam, complete decode may populate the cache: the key
     // hashes the full beam width, and degraded rankings must never
     // impersonate full ones.
     if (result.beam_used == options_.beam_size) {
       cache_.Put(pending->key, result.items);
     }
-    RecommendResponse resp;
-    resp.status = Status::kOk;
-    resp.inline_path = true;
-    if (pending->beam_capped) {
-      resp.degrade = DegradeLevel::kBudgetCapped;
-      resp.items = std::move(result.items);
-      ResolveDegraded(pending, std::move(resp), "budget_capped");
-      return;
-    }
-    resp.items = std::move(result.items);
-    Resolve(pending, std::move(resp));
-    return;
   }
-  std::vector<llm::ScoredItem> items =
-      llm::GenerateItems(model_, pending->prompt, trie_, token_map_,
-                         options_.beam_size, pending->top_n);
-  breaker_.RecordSuccess();
-  stats_.decoded.fetch_add(1, std::memory_order_relaxed);
-  pending->timeline.Mark("respond");
-  cache_.Put(pending->key, items);
   RecommendResponse resp;
   resp.status = Status::kOk;
-  resp.inline_path = true;
-  resp.items = std::move(items);
+  resp.inline_path = inline_path;
+  resp.items = std::move(result.items);
+  if (!inline_path) {  // tick attribution is a share of the shared batch
+    resp.debug.decode_ticks = result.ticks;
+    resp.debug.decode_share_us = result.decode_us;
+  }
+  pending->timeline.Mark("respond");  // resolve-to-wakeup latency
+  if (result.partial || pending->beam_capped) {
+    resp.degrade = DegradeLevel::kBudgetCapped;
+    ResolveDegraded(pending, std::move(resp),
+                    result.partial ? "partial_decode" : "budget_capped");
+    return;
+  }
   Resolve(pending, std::move(resp));
 }
 
@@ -555,31 +556,8 @@ void Server::AdmitOrShed(PendingPtr pending,
       return;
     }
   }
-  if (!breaker_.Allow()) {
-    ServeMetrics::Get().breaker_short_circuits.Increment();
-    stats_.breaker_short_circuits.fetch_add(1, std::memory_order_relaxed);
-    DegradeOrShed(pending, Status::kShedDecodeFailure, "breaker_open");
-    return;
-  }
-  if (!PassChaosDecode()) {
-    breaker_.RecordFailure();
-    DegradeOrShed(pending, Status::kShedDecodeFailure, "decode_failed");
-    return;
-  }
-  llm::LaneOptions lane;
-  if (pending->deadline_ms > 0.0 && options_.degraded_fallbacks) {
-    // Thread the deadline budget into the engine: the lane retires (with
-    // partial results) at the first tick past its deadline, and a lane
-    // admitted with most of its budget already burned decodes at the
-    // reduced beam — fewer forwards per tick buys more depth per ms.
-    lane.deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
-    double remaining_us = lane.deadline_us - now_us;
-    if (remaining_us <
-        options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
-      lane.beam_cap = options_.degraded_beam;
-      pending->beam_capped = true;
-    }
-  }
+  if (!DecodeAllowed(pending)) return;
+  llm::LaneOptions lane = BudgetLane(pending.get(), now_us);
   uint64_t tag = next_tag_.fetch_add(1, std::memory_order_relaxed);
   pending->timeline.Mark("decode");
   engine_.Admit(tag, std::move(pending->prompt), pending->top_n, lane);
@@ -624,42 +602,8 @@ void Server::SchedulerLoop() {
       if (it == by_tag.end()) continue;
       PendingPtr p = std::move(it->second);
       by_tag.erase(it);
-      stats_.decoded.fetch_add(1, std::memory_order_relaxed);
       p->timeline.Mark("retire");
-      if (r.partial) {
-        // Deadline budget exhausted mid-decode: the engine is too slow
-        // for this request's budget — a breaker-visible outcome.
-        breaker_.RecordFailure();
-        if (r.items.empty() || !options_.degraded_fallbacks) {
-          DegradeOrShed(p, Status::kShedDeadline, "deadline_decode");
-          continue;
-        }
-        RecommendResponse resp;
-        resp.status = Status::kOk;
-        resp.degrade = DegradeLevel::kBudgetCapped;
-        resp.items = std::move(r.items);
-        resp.debug.decode_ticks = r.ticks;
-        resp.debug.decode_share_us = r.decode_us;
-        p->timeline.Mark("respond");
-        ResolveDegraded(p, std::move(resp), "partial_decode");
-        continue;
-      }
-      breaker_.RecordSuccess();
-      // Degraded (reduced-beam) rankings never enter the cache: the key
-      // hashes the full beam width.
-      if (r.beam_used == options_.beam_size) cache_.Put(p->key, r.items);
-      RecommendResponse resp;
-      resp.status = Status::kOk;
-      resp.items = std::move(r.items);
-      resp.debug.decode_ticks = r.ticks;
-      resp.debug.decode_share_us = r.decode_us;
-      p->timeline.Mark("respond");  // resolve-to-wakeup latency
-      if (p->beam_capped) {
-        resp.degrade = DegradeLevel::kBudgetCapped;
-        ResolveDegraded(p, std::move(resp), "budget_capped");
-      } else {
-        Resolve(p, std::move(resp));
-      }
+      ResolveDecoded(p, std::move(r), /*inline_path=*/false);
     }
   }
   tick_start_us_.store(0.0, std::memory_order_relaxed);

@@ -38,9 +38,10 @@ struct ServerOptions {
   int max_queue = 256;           // admission queue capacity
   int max_batch_lanes = 8;       // decode lanes batched per tick
   size_t cache_capacity = 1024;  // result-cache entries; 0 disables
-  /// When the queue is empty and no lane is in flight, decode on the
-  /// calling thread instead of paying a scheduler handoff — p50 at low
-  /// QPS must not tax requests with batching delay.
+  /// When the queue is empty, no lane is in flight and no other caller
+  /// is decoding inline, decode on the calling thread instead of paying
+  /// a scheduler handoff — p50 at low QPS must not tax requests with
+  /// batching delay.
   bool inline_fast_path = true;
   /// Tests set false to stage requests while the scheduler is parked,
   /// then call Start() to release them deterministically.
@@ -210,8 +211,23 @@ class Server {
   /// Publishes `response` on `pending`, removes it from the in-flight
   /// table, and wakes every waiter.
   void Resolve(const PendingPtr& pending, RecommendResponse response);
-  /// Decodes sequentially on the calling thread (fast path).
+  /// The gate in front of every decode attempt, inline or admitted: the
+  /// circuit breaker, then the chaos gauntlet. False = `pending` was
+  /// already sent down the fallback tiers (or shed).
+  bool DecodeAllowed(const PendingPtr& pending);
+  /// Decodes on the calling thread with a private one-lane engine (fast
+  /// path; the caller holds the inline slot).
   void DecodeInline(const PendingPtr& pending);
+  /// Publishes a finished decode lane, inline or from the scheduler's
+  /// engine: a partial lane degrades (or sheds when nothing finished or
+  /// fallbacks are off), a complete one feeds the breaker and, at full
+  /// beam, the cache.
+  void ResolveDecoded(const PendingPtr& pending, llm::BatchResult result,
+                      bool inline_path);
+  /// The engine lane for `pending` at `now_us`: its deadline budget when
+  /// it has one and the degradation ladder is on (marking it
+  /// beam_capped when most of the budget is already gone), else none.
+  llm::LaneOptions BudgetLane(Pending* pending, double now_us) const;
   /// Blocks until `pending` resolves, then finishes `timeline` (this
   /// caller's own — the leader passes &pending->timeline, a follower its
   /// local one), fills the response's debug breakdown from it, and
@@ -250,6 +266,11 @@ class Server {
   llm::BatchEngine engine_;  // scheduler thread only (after Start)
   CircuitBreaker breaker_;
   std::atomic<int> active_lanes_{0};
+  /// The single inline-decode slot, claimed by compare-exchange: at most
+  /// one caller decodes on its own thread, the rest queue for the
+  /// scheduler, so decode concurrency stays bounded by max_batch_lanes
+  /// plus this one lane.
+  std::atomic<bool> inline_busy_{false};
   std::atomic<uint64_t> next_tag_{1};
   /// NowMicros when the scheduler's current work episode (admission +
   /// tick) started; 0 while parked on the queue. The watchdog reads it

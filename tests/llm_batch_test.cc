@@ -1,7 +1,8 @@
-// Equivalence suite for the batched decode path: ForwardBatch must
-// reproduce Forward exactly, and GenerateItemsBatch / BatchEngine must
-// reproduce GenerateItems exactly — the serving layer treats batched ==
-// sequential as a hard contract.
+// Equivalence suite for the batched decode path: a ForwardBatch lane must
+// reproduce the same lane run alone exactly, and every BatchEngine lane
+// must reproduce the sequential reference decoder
+// (tests/reference_decode.h) exactly — the serving layer treats batched
+// == sequential as a hard contract.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "llm/minillm.h"
 #include "obs/trace.h"
 #include "quant/indexing.h"
+#include "tests/reference_decode.h"
 #include "text/vocab.h"
 
 namespace lcrec::llm {
@@ -37,9 +39,10 @@ void ExpectSameLogits(const core::Tensor& batched, const core::Tensor& alone,
                       const char* what) {
   ASSERT_EQ(batched.size(), alone.size()) << what;
   for (int64_t j = 0; j < batched.size(); ++j) {
-    // Bit-identical, not approximately equal: VecMatBatch keeps VecMat's
-    // per-lane accumulation order (and 1e-5 is the documented floor the
-    // serving layer may rely on if a platform ever breaks exactness).
+    // Bit-identical, not approximately equal: VecMatBatch's per-lane
+    // accumulation order does not depend on the other lanes (and 1e-5 is
+    // the documented floor the serving layer may rely on if a platform
+    // ever breaks exactness).
     EXPECT_EQ(batched.at(j), alone.at(j)) << what << " logit " << j;
   }
 }
@@ -126,6 +129,29 @@ class BatchGenTest : public ::testing::Test {
   std::unique_ptr<quant::PrefixTrie> trie_;
   std::unique_ptr<MiniLlm> model_;
   std::unique_ptr<IndexTokenMap> token_map_;
+
+  /// The sequential reference decoder at this fixture's trie.
+  std::vector<ScoredItem> Reference(const std::vector<int>& prompt, int beam,
+                                    int top_n) const {
+    return testing::ReferenceGenerateItems(*model_, prompt, *trie_,
+                                           *token_map_, beam, top_n);
+  }
+
+  /// Decodes `prompts` jointly, all admitted before the first tick;
+  /// results are indexed like `prompts`.
+  std::vector<std::vector<ScoredItem>> Joint(
+      const std::vector<std::vector<int>>& prompts, int beam,
+      int top_n) const {
+    BatchEngine engine(*model_, *trie_, *token_map_, beam);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      engine.Admit(static_cast<uint64_t>(i), prompts[i], top_n);
+    }
+    std::vector<std::vector<ScoredItem>> out(prompts.size());
+    while (!engine.Idle()) {
+      for (BatchResult& r : engine.Tick()) out[r.tag] = std::move(r.items);
+    }
+    return out;
+  }
 };
 
 void ExpectSameRanking(const std::vector<ScoredItem>& got,
@@ -139,12 +165,14 @@ void ExpectSameRanking(const std::vector<ScoredItem>& got,
 
 TEST_F(BatchGenTest, JointDecodeMatchesSequentialPerPrompt) {
   std::vector<std::vector<int>> prompts = Prompts();
-  auto batched = GenerateItemsBatch(*model_, prompts, *trie_, *token_map_,
-                                    /*beam=*/8, /*top_n=*/6);
+  auto batched = Joint(prompts, /*beam=*/8, /*top_n=*/6);
   ASSERT_EQ(batched.size(), prompts.size());
   for (size_t i = 0; i < prompts.size(); ++i) {
-    auto seq = GenerateItems(*model_, prompts[i], *trie_, *token_map_, 8, 6);
-    ExpectSameRanking(batched[i], seq);
+    ExpectSameRanking(batched[i], Reference(prompts[i], 8, 6));
+    // The one-lane public entry point is the same engine.
+    ExpectSameRanking(
+        GenerateItems(*model_, prompts[i], *trie_, *token_map_, 8, 6),
+        batched[i]);
   }
 }
 
@@ -173,8 +201,7 @@ TEST_F(BatchGenTest, MidFlightAdmissionDoesNotPerturbResults) {
               return a.tag < b.tag;
             });
   for (size_t i = 0; i < results.size(); ++i) {
-    auto seq = GenerateItems(*model_, prompts[i], *trie_, *token_map_, 8, 6);
-    ExpectSameRanking(results[i].items, seq);
+    ExpectSameRanking(results[i].items, Reference(prompts[i], 8, 6));
   }
 }
 
@@ -197,11 +224,12 @@ TEST_F(BatchGenTest, TieBreaksRankTiedItemsByAscendingId) {
     EXPECT_EQ(first[i].logprob, first[i + 1].logprob) << "not a tie";
     EXPECT_LT(first[i].item, first[i + 1].item) << "tie not broken by id";
   }
-  // Deterministic across runs and across the batched path.
+  // Deterministic across runs, equal to the reference decoder, and
+  // unchanged when the lane shares its ticks with another.
   ExpectSameRanking(run(), first);
-  auto batched = GenerateItemsBatch(*model_, {{text::Vocabulary::kBos}},
-                                    *trie_, *token_map_, 12, 12);
-  ASSERT_EQ(batched.size(), 1u);
+  ExpectSameRanking(Reference({text::Vocabulary::kBos}, 12, 12), first);
+  auto batched = Joint({{text::Vocabulary::kBos}, {text::Vocabulary::kBos, 4}},
+                       12, 12);
   ExpectSameRanking(batched[0], first);
 }
 
@@ -227,7 +255,7 @@ TEST_F(BatchGenTest, ExpiredDeadlineRetiresLanePartialBeforeForward) {
 }
 
 TEST_F(BatchGenTest, BeamCapMatchesSequentialAtTheCappedWidth) {
-  // A capped lane is the sequential decoder at the capped width — the
+  // A capped lane is the reference decoder at the capped width — the
   // bit-identical contract holds at EVERY beam, not just the engine's —
   // and an uncapped lane in the same batch is unperturbed by it.
   std::vector<std::vector<int>> prompts = Prompts();
@@ -251,13 +279,11 @@ TEST_F(BatchGenTest, BeamCapMatchesSequentialAtTheCappedWidth) {
   EXPECT_FALSE(results[0].partial);
   EXPECT_EQ(results[0].beam_used, 2);
   ExpectSameRanking(results[0].items,
-                    GenerateItems(*model_, prompts[0], *trie_, *token_map_,
-                                  /*beam=*/2, /*top_n=*/6));
+                    Reference(prompts[0], /*beam=*/2, /*top_n=*/6));
   EXPECT_FALSE(results[1].partial);
   EXPECT_EQ(results[1].beam_used, 8);
   ExpectSameRanking(results[1].items,
-                    GenerateItems(*model_, prompts[1], *trie_, *token_map_,
-                                  /*beam=*/8, /*top_n=*/6));
+                    Reference(prompts[1], /*beam=*/8, /*top_n=*/6));
 }
 
 }  // namespace

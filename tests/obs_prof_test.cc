@@ -240,11 +240,70 @@ TEST(RunManifestTest, JsonRoundTripPreservesEveryField) {
 }
 
 TEST(PerfGateTest, MetricDirectionFollowsNameSuffix) {
-  EXPECT_TRUE(obs::HigherIsBetter("matmul128/gflops"));
-  EXPECT_TRUE(obs::HigherIsBetter("rqvae_quantize/items_per_sec"));
-  EXPECT_TRUE(obs::HigherIsBetter("decode/ops_per_sec"));
-  EXPECT_FALSE(obs::HigherIsBetter("matmul128/p50_ms"));
-  EXPECT_FALSE(obs::HigherIsBetter("llm_decode/mean_ms"));
+  constexpr auto kHigher = obs::MetricDirection::kHigherIsBetter;
+  constexpr auto kLower = obs::MetricDirection::kLowerIsBetter;
+  constexpr auto kUnknown = obs::MetricDirection::kUnknown;
+  EXPECT_EQ(obs::DirectionOf("matmul128/gflops"), kHigher);
+  EXPECT_EQ(obs::DirectionOf("rqvae_quantize/items_per_sec"), kHigher);
+  EXPECT_EQ(obs::DirectionOf("decode/ops_per_sec"), kHigher);
+  EXPECT_EQ(obs::DirectionOf("serve/req_per_sec"), kHigher);
+  EXPECT_EQ(obs::DirectionOf("net_rpc32/roundtrips_per_sec"), kHigher);
+  EXPECT_EQ(obs::DirectionOf("matmul128/p50_ms"), kLower);
+  EXPECT_EQ(obs::DirectionOf("serve/p95_ms"), kLower);
+  EXPECT_EQ(obs::DirectionOf("llm_decode/mean_ms"), kLower);
+  // No guessing from a near miss or a bare name.
+  EXPECT_EQ(obs::DirectionOf("net/frames_per_tick"), kUnknown);
+  EXPECT_EQ(obs::DirectionOf("k/gflops_x"), kUnknown);
+  EXPECT_EQ(obs::DirectionOf("gflops"), kUnknown);
+}
+
+TEST(PerfGateTest, EveryBaselineMetricHasADirection) {
+  obs::PerfRecord baseline;
+  ASSERT_TRUE(obs::ReadPerfRecordFile(
+      std::string(LCREC_SOURCE_DIR) + "/bench/baseline.json", &baseline));
+  ASSERT_FALSE(baseline.metrics.empty());
+  for (const auto& kv : baseline.metrics) {
+    EXPECT_NE(obs::DirectionOf(kv.first), obs::MetricDirection::kUnknown)
+        << kv.first;
+  }
+}
+
+TEST(PerfGateTest, ThroughputDropOnRoundtripsRegresses) {
+  obs::PerfRecord baseline;
+  baseline.metrics["net_rpc32/roundtrips_per_sec"] = {1000.0, 0.25};
+  obs::PerfRecord drop = baseline;
+  drop.metrics["net_rpc32/roundtrips_per_sec"].value = 170.0;  // -83%
+  obs::PerfGateResult r = obs::ComparePerf(baseline, drop);
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.diffs.size(), 1u);
+  EXPECT_TRUE(r.diffs[0].regressed);
+  obs::PerfRecord rise = baseline;
+  rise.metrics["net_rpc32/roundtrips_per_sec"].value = 2000.0;
+  EXPECT_TRUE(obs::ComparePerf(baseline, rise).ok);
+}
+
+TEST(PerfGateTest, UnknownSuffixIsAnErrorNotAGuess) {
+  obs::PerfRecord baseline;
+  baseline.metrics["k/p50_ms"] = {1.0, 0.25};
+  baseline.metrics["k/frames_per_tick"] = {4.0, 0.25};
+  obs::PerfGateResult r = obs::ComparePerf(baseline, baseline);  // unchanged
+  EXPECT_FALSE(r.ok);
+  bool flagged = false;
+  for (const obs::PerfDiff& d : r.diffs) {
+    if (d.name == "k/frames_per_tick") flagged = d.unknown_direction;
+    if (d.name == "k/p50_ms") {
+      EXPECT_FALSE(d.unknown_direction);
+    }
+  }
+  EXPECT_TRUE(flagged);
+  EXPECT_NE(obs::FormatPerfDiff(r).find("NO DIRECTION"), std::string::npos);
+
+  // A newly measured metric with an unknown suffix fails the gate too.
+  obs::PerfRecord known;
+  known.metrics["k/p50_ms"] = {1.0, 0.25};
+  obs::PerfRecord added = known;
+  added.metrics["k2/frames_per_tick"] = {4.0, 0.25};
+  EXPECT_FALSE(obs::ComparePerf(known, added).ok);
 }
 
 TEST(PerfGateTest, RecordJsonRoundTrips) {
@@ -390,6 +449,36 @@ TEST(PrometheusTest, ExpositionFormatConformance) {
             std::string::npos);
   EXPECT_NE(out.str().find("lcrec_promconf_inf_gauge +Inf"),
             std::string::npos);
+}
+
+/// A scrape racing concurrent Observe calls still renders a consistent
+/// histogram: cumulative buckets, and +Inf == _count, because both come
+/// from one bucket snapshot rather than separate loads of count().
+TEST(PrometheusTest, ConcurrentObserveKeepsInfBucketEqualToCount) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Histogram& h =
+      reg.GetHistogram("lcrec.promrace.lat_ms", {1.0, 10.0});
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&h, &stop, t] {
+      // 0.5, 5 and 50 land in the two finite buckets and the overflow.
+      for (int i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        h.Observe(i % 3 == 0 ? 0.5 : i % 3 == 1 ? 5.0 : 50.0);
+      }
+    });
+  }
+  std::string first_error;
+  for (int scrape = 0; scrape < 3000 && first_error.empty(); ++scrape) {
+    std::ostringstream out;
+    reg.DumpPrometheus(out);
+    obs::PromCheckResult check = obs::CheckPrometheusExposition(out.str());
+    if (!check.ok) first_error = check.error;
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  EXPECT_TRUE(first_error.empty()) << first_error;
+  EXPECT_GT(h.count(), 0);
 }
 
 /// The checker itself rejects the violations it claims to: a mutated

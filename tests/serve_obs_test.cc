@@ -156,7 +156,8 @@ TEST_F(ServeObsTest, InlinePathTimelineSkipsTheQueue) {
   EXPECT_EQ(names[1], "cache_lookup");
   EXPECT_EQ(names[2], "decode");
   EXPECT_EQ(names[3], "respond");
-  // Inline decode never enters the batch engine, so no tick attribution.
+  // Inline decode runs a private engine, not the shared batch, so there
+  // is no batch-tick attribution.
   EXPECT_EQ(resp.debug.decode_ticks, 0);
   EXPECT_DOUBLE_EQ(resp.debug.decode_share_us, 0.0);
 }

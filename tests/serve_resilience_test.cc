@@ -21,6 +21,7 @@
 #include "serve/cache.h"
 #include "serve/chaos.h"
 #include "serve/server.h"
+#include "tests/reference_decode.h"
 #include "text/vocab.h"
 
 namespace lcrec::serve {
@@ -372,8 +373,9 @@ class ResilienceTest : public ::testing::Test {
 
   std::vector<llm::ScoredItem> Reference(const RecommendRequest& req,
                                          int beam_size) const {
-    return llm::GenerateItems(*model_, Builder()(req.history), *trie_,
-                              *token_map_, beam_size, req.top_n);
+    return testing::ReferenceGenerateItems(*model_, Builder()(req.history),
+                                           *trie_, *token_map_, beam_size,
+                                           req.top_n);
   }
 
   static void AlwaysFailDecode(int max_fires = 0) {

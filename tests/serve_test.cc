@@ -16,7 +16,9 @@
 #include "obs/debugz.h"
 #include "obs/sync.h"
 #include "quant/indexing.h"
+#include "serve/chaos.h"
 #include "serve/server.h"
+#include "tests/reference_decode.h"
 #include "text/vocab.h"
 
 namespace lcrec::serve {
@@ -68,11 +70,12 @@ class ServeTest : public ::testing::Test {
                                     opts);
   }
 
-  /// What the offline decoder returns for the same request.
+  /// What the sequential reference decoder returns for the same request.
   std::vector<llm::ScoredItem> Reference(const RecommendRequest& req,
                                          int beam_size) const {
-    return llm::GenerateItems(*model_, Builder()(req.history), *trie_,
-                              *token_map_, beam_size, req.top_n);
+    return testing::ReferenceGenerateItems(*model_, Builder()(req.history),
+                                           *trie_, *token_map_, beam_size,
+                                           req.top_n);
   }
 
   text::Vocabulary vocab_;
@@ -280,6 +283,61 @@ TEST_F(ServeTest, IdleServerServesSingleRequestInline) {
   EXPECT_EQ(s.inline_fast_path, 1);
   // The request never waited on the scheduler: no batching-delay tax.
   EXPECT_EQ(s.batch_ticks, 0);
+}
+
+TEST_F(ServeTest, ConcurrentCallersShareOneInlineSlot) {
+  // The first caller claims the inline slot and holds it through a long
+  // injected decode delay (the only one: max_fires = 1). With the
+  // scheduler parked, a second caller arriving meanwhile must queue, and
+  // from then on the non-empty queue sends every other caller there too.
+  // Only then does the scheduler start, so the seven queued requests
+  // batch instead of each decoding alone on its own thread. The waits
+  // only EXPECT, so every caller is still released and joined.
+  struct Disarm {
+    ~Disarm() { chaos::DisarmChaos(); }
+  } disarm;
+  chaos::ChaosSpec delay;
+  delay.site = chaos::ChaosSpec::Site::kDecode;
+  delay.mode = chaos::ChaosSpec::Mode::kDelay;
+  delay.rate = 1.0;
+  delay.param_ms = 1000.0;
+  delay.max_fires = 1;
+  chaos::ArmChaos({delay});
+
+  constexpr int kCallers = 8;
+  ServerOptions opts;
+  opts.beam_size = 6;
+  opts.cache_capacity = 0;
+  opts.start_scheduler = false;
+  auto server = MakeServer(opts);
+  std::vector<RecommendRequest> reqs(kCallers);
+  for (int i = 0; i < kCallers; ++i) reqs[i].history = {i, 2 * i + 1};
+  std::vector<RecommendResponse> got(kCallers);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  auto call = [&](int i) {
+    callers.emplace_back([&, i] { got[i] = server->Recommend(reqs[i]); });
+  };
+
+  call(0);
+  EXPECT_TRUE(
+      WaitUntil([&] { return server->stats().inline_fast_path == 1; }));
+  call(1);
+  EXPECT_TRUE(WaitUntil([&] { return server->queue_depth() == 1; }));
+  for (int i = 2; i < kCallers; ++i) call(i);
+  EXPECT_TRUE(
+      WaitUntil([&] { return server->queue_depth() == kCallers - 1; }));
+  server->Start();
+  for (auto& c : callers) c.join();
+
+  for (int i = 0; i < kCallers; ++i) {
+    ASSERT_EQ(got[i].status, Status::kOk) << "caller " << i;
+    ExpectSameRanking(got[i].items, Reference(reqs[i], opts.beam_size));
+  }
+  ServerStats s = server->stats();
+  EXPECT_EQ(s.inline_fast_path, 1);
+  EXPECT_GT(s.batch_ticks, 0);
+  EXPECT_EQ(s.decoded, kCallers);
 }
 
 TEST_F(ServeTest, InlineDisabledStillMatchesReference) {
