@@ -1,16 +1,6 @@
 #include "net/rpc.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "core/check.h"
@@ -54,11 +44,6 @@ struct NetMetrics {
   }
 };
 
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 void SleepUs(double us) {
   if (us <= 0.0) return;
   std::this_thread::sleep_for(
@@ -84,46 +69,7 @@ void RpcServer::Handle(uint32_t method, RpcHandler handler) {
 }
 
 bool RpcServer::Start(std::string* error) {
-  auto fail = [this, error](const std::string& why) {
-    if (error != nullptr) *error = why + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
-    for (int& fd : wake_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    return false;
-  };
   if (running()) return true;
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (inet_pton(AF_INET, options_.bind_host.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) *error = "bad bind host '" + options_.bind_host + "'";
-    return false;
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return fail("bind");
-  }
-  if (::listen(listen_fd_, options_.max_connections) != 0) {
-    return fail("listen");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return fail("getsockname");
-  }
-  if (!SetNonBlocking(listen_fd_)) return fail("fcntl");
-  if (::pipe(wake_fds_) != 0) return fail("pipe");
-  SetNonBlocking(wake_fds_[0]);
-
   {
     obs::MutexLock lock(work_mu_);
     stopping_ = false;
@@ -134,9 +80,13 @@ bool RpcServer::Start(std::string* error) {
   }
   draining_.store(false, std::memory_order_release);
   inflight_.store(0, std::memory_order_release);
-  port_.store(ntohs(addr.sin_port), std::memory_order_release);
+  if (!loop_.Start({.bind_host = options_.bind_host,
+                    .port = options_.port,
+                    .max_connections = options_.max_connections},
+                   error)) {
+    return false;
+  }
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { Loop(); });
   dispatchers_.reserve(static_cast<size_t>(options_.dispatch_threads));
   for (int i = 0; i < options_.dispatch_threads; ++i) {
     dispatchers_.emplace_back([this] { DispatchLoop(); });
@@ -147,7 +97,7 @@ bool RpcServer::Start(std::string* error) {
 void RpcServer::BeginDrain() {
   if (!running()) return;
   draining_.store(true, std::memory_order_release);
-  WakeLoop();
+  loop_.Wake();
 }
 
 bool RpcServer::WaitDrained(double timeout_s) {
@@ -159,12 +109,10 @@ bool RpcServer::WaitDrained(double timeout_s) {
 }
 
 void RpcServer::Stop() {
-  const bool was_running =
-      running_.exchange(false, std::memory_order_acq_rel);
-  if (loop_thread_.joinable()) {
-    WakeLoop();
-    loop_thread_.join();
-  }
+  // The loop goes first so no new work is queued; the dispatchers then
+  // finish the backlog (their wakes hit a pipe that outlives the loop).
+  running_.store(false, std::memory_order_release);
+  loop_.Stop();
   {
     obs::MutexLock lock(work_mu_);
     stopping_ = true;
@@ -174,13 +122,6 @@ void RpcServer::Stop() {
     if (t.joinable()) t.join();
   }
   dispatchers_.clear();
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (was_running) port_.store(-1, std::memory_order_release);
 }
 
 RpcServer::Stats RpcServer::stats() const {
@@ -210,20 +151,6 @@ std::string RpcServer::StatuszText() const {
   return out;
 }
 
-void RpcServer::WakeLoop() {
-  if (wake_fds_[1] < 0) return;
-  char byte = 'x';
-  ssize_t ignored = ::write(wake_fds_[1], &byte, 1);
-  (void)ignored;
-}
-
-RpcServer::Conn* RpcServer::FindConn(uint64_t id) {
-  for (Conn& c : conns_) {
-    if (c.id == id) return &c;
-  }
-  return nullptr;
-}
-
 void RpcServer::QueueErrorFrame(Conn* conn, uint32_t method,
                                 uint64_t request_id, const std::string& text) {
   Frame f;
@@ -236,21 +163,12 @@ void RpcServer::QueueErrorFrame(Conn* conn, uint32_t method,
   NetMetrics::Get().errors.Increment();
 }
 
-bool RpcServer::ReadFrames(Conn* conn) {
-  char buf[4096];
-  for (;;) {
-    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->in.append(buf, static_cast<size_t>(n));
-      conn->last_active_us = obs::NowMicros();
-      continue;
-    }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
+bool RpcServer::OnRead(Conn* conn, bool eof) {
+  if (eof) return false;  // peer closed
+  if (conn->closing) {    // already rejecting; drop the bytes
+    conn->in.clear();
+    return true;
   }
-  if (conn->closing) return true;  // already rejecting; ignore the bytes
   for (;;) {
     Frame f;
     size_t used = 0;
@@ -299,25 +217,6 @@ bool RpcServer::ReadFrames(Conn* conn) {
   return true;
 }
 
-bool RpcServer::WriteSome(Conn* conn) {
-  while (conn->sent < conn->out.size()) {
-    ssize_t n = ::send(conn->fd, conn->out.data() + conn->sent,
-                       conn->out.size() - conn->sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->sent += static_cast<size_t>(n);
-      conn->last_active_us = obs::NowMicros();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  // Fully flushed: reclaim the buffer (it only ever grows by append).
-  conn->out.clear();
-  conn->sent = 0;
-  return true;
-}
-
 void RpcServer::MergeCompletions() {
   std::vector<Completion> done;
   {
@@ -326,7 +225,7 @@ void RpcServer::MergeCompletions() {
   }
   for (Completion& c : done) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    Conn* conn = FindConn(c.conn_id);
+    Conn* conn = loop_.Find(c.conn_id);
     if (conn == nullptr) continue;  // connection died while the handler ran
     conn->inflight--;
     conn->out += c.bytes;
@@ -334,118 +233,47 @@ void RpcServer::MergeCompletions() {
   }
 }
 
-void RpcServer::AcceptPending() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN/EINTR/...: back to poll
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      // Over capacity: refuse outright. A binary-protocol peer treats
-      // the closed connection as a transport failure and backs off.
-      conns_dropped_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    SetNonBlocking(fd);
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Conn conn;
-    conn.id = next_conn_id_++;
-    conn.fd = fd;
-    conn.last_active_us = obs::NowMicros();
-    conns_.push_back(std::move(conn));
-    conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+bool RpcServer::OnAccept(Conn* /*conn*/, bool over_capacity) {
+  if (over_capacity) {
+    // Over capacity: refuse outright. A binary-protocol peer treats
+    // the closed connection as a transport failure and backs off.
+    conns_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void RpcServer::Loop() {
-  std::vector<pollfd> pfds;
-  for (;;) {
-    pfds.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    size_t listen_idx = 0;  // 0 = listener absent (index 0 is the pipe)
-    if (listen_fd_ >= 0) {
-      listen_idx = pfds.size();
-      pfds.push_back({listen_fd_, POLLIN, 0});
-    }
-    const size_t conn_base = pfds.size();
-    for (const Conn& c : conns_) {
-      short events = POLLIN;
-      if (c.sent < c.out.size()) events |= POLLOUT;
-      pfds.push_back({c.fd, events, 0});
-    }
-    int rc = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/250);
-    if (!running_.load(std::memory_order_acquire)) break;
-    if (rc < 0 && errno != EINTR) break;
+void RpcServer::BeginPass() {
+  pass_draining_ = draining_.load(std::memory_order_acquire);
+  // Drain step 1: close the listener so the router re-resolves the
+  // shard; queued work keeps flowing until the backlog is dry.
+  if (pass_draining_) loop_.CloseListener();
+  MergeCompletions();
+}
 
-    if ((pfds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
+bool RpcServer::Expired(const Conn& conn, double now_us) {
+  if (conn.inflight != 0) return false;
+  // Drain step 2: a quiet, flushed connection gets a polite close.
+  if (pass_draining_ && conn.flushed()) return true;
+  return now_us - conn.last_active_us > options_.idle_timeout_s * 1e6;
+}
 
-    // Drain step 1: close the listener so the router re-resolves the
-    // shard; queued work keeps flowing below until the backlog is dry.
-    if (draining_.load(std::memory_order_acquire) && listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      listen_idx = 0;
-    }
-
-    MergeCompletions();
-
-    const bool draining = draining_.load(std::memory_order_acquire);
-    const double now = obs::NowMicros();
-    size_t keep = 0;
-    for (size_t i = 0; i < conns_.size(); ++i) {
-      Conn& c = conns_[i];
-      const short rev = pfds[conn_base + i].revents;
-      bool alive = (rev & POLLNVAL) == 0;
-      if (alive && (rev & POLLIN) != 0) alive = ReadFrames(&c);
-      if (alive && c.sent < c.out.size() &&
-          (rev & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-        alive = WriteSome(&c);
-      }
-      const bool flushed = c.sent >= c.out.size();
-      if (alive && (rev & (POLLERR | POLLHUP)) != 0 && (rev & POLLIN) == 0 &&
-          flushed) {
-        alive = false;
-      }
-      if (alive && flushed && c.inflight == 0 && (c.closing || draining)) {
-        alive = false;  // drain step 2: quiet connection, polite close
-      }
-      if (alive && c.inflight == 0 &&
-          now - c.last_active_us > options_.idle_timeout_s * 1e6) {
-        alive = false;
-      }
-      if (alive) {
-        if (keep != i) conns_[keep] = std::move(c);
-        ++keep;
-      } else {
-        ::close(c.fd);
-      }
-    }
-    conns_.resize(keep);
-
-    if (listen_idx != 0 && (pfds[listen_idx].revents & POLLIN) != 0) {
-      AcceptPending();
-    }
-
-    // Drain step 3: every connection closed, every dispatched request
-    // completed and flushed — the worker is quiet. Announce and exit.
-    if (draining && conns_.empty() &&
-        inflight_.load(std::memory_order_acquire) == 0) {
-      obs::Log(obs::LogLevel::kInfo, "[net] rpc server on port %d drained",
-               port());
-      {
-        obs::MutexLock lock(drain_mu_);
-        drained_ = true;
-      }
-      drain_cv_.NotifyAll();
-      break;
-    }
+bool RpcServer::EndPass(size_t open_conns) {
+  // Drain step 3: every connection closed, every dispatched request
+  // completed and flushed — the worker is quiet. Announce and exit.
+  if (!pass_draining_ || open_conns != 0 ||
+      inflight_.load(std::memory_order_acquire) != 0) {
+    return true;
   }
-  for (Conn& c : conns_) ::close(c.fd);
-  conns_.clear();
+  obs::Log(obs::LogLevel::kInfo, "[net] rpc server on port %d drained",
+           port());
+  {
+    obs::MutexLock lock(drain_mu_);
+    drained_ = true;
+  }
+  drain_cv_.NotifyAll();
+  return false;
 }
 
 void RpcServer::DispatchLoop() {
@@ -491,7 +319,7 @@ void RpcServer::DispatchLoop() {
       obs::MutexLock lock(done_mu_);
       done_.push_back(Completion{w.conn_id, EncodeFrame(out)});
     }
-    WakeLoop();
+    loop_.Wake();
   }
 }
 
@@ -505,75 +333,23 @@ RpcChannel::RpcChannel(std::string host, int port,
 RpcChannel::~RpcChannel() { Close(); }
 
 void RpcChannel::Close() {
-  if (fd_ >= 0) ::close(fd_);
+  obs::CloseSocket(fd_);
   fd_ = -1;
   in_.clear();
 }
 
 bool RpcChannel::Connect(std::string* error) {
-  auto fail = [this, error](const std::string& why) {
-    Close();
-    if (error != nullptr) *error = why;
-    return false;
-  };
   if (fd_ >= 0) return true;
 
   const serve::chaos::ConnChaos chaos = serve::chaos::OnNetConnect();
   if (chaos.delay_us > 0.0) SleepUs(chaos.delay_us);
-  if (chaos.fail) return fail("chaos: injected connect failure");
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port_));
-  if (inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-    return fail("bad host '" + host_ + "'");
-  }
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return fail("socket failed");
-  SetNonBlocking(fd_);
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) return fail("connect failed");
-    pollfd p{fd_, POLLOUT, 0};
-    if (::poll(&p, 1, static_cast<int>(options_.connect_timeout_s * 1000.0)) <=
-        0) {
-      return fail("connect timeout");
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len);
-    if (soerr != 0) return fail("connect refused");
-  }
-  return true;
-}
-
-bool RpcChannel::SendAll(const std::string& bytes, double deadline_us,
-                         std::string* error) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd_, POLLOUT, 0};
-      int wait_ms =
-          static_cast<int>((deadline_us - obs::NowMicros()) / 1000.0);
-      if (wait_ms <= 0 || ::poll(&p, 1, wait_ms) <= 0) {
-        if (error != nullptr) *error = "send timeout";
-        return false;
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (error != nullptr) *error = "send failed";
+  if (chaos.fail) {
+    if (error != nullptr) *error = "chaos: injected connect failure";
     return false;
   }
-  return true;
+
+  fd_ = obs::ConnectTcp(host_, port_, options_.connect_timeout_s, error);
+  return fd_ >= 0;
 }
 
 bool RpcChannel::Call(uint32_t method, const std::string& request,
@@ -598,10 +374,11 @@ bool RpcChannel::Call(uint32_t method, const std::string& request,
     // Torn write: ship a prefix of the frame and drop the connection.
     // The peer's length/CRC checks must reject it; this caller fails
     // over to the retry path.
-    SendAll(bytes.substr(0, bytes.size() / 2), deadline_us, nullptr);
+    obs::SendAll(fd_, bytes.substr(0, bytes.size() / 2), deadline_us,
+                 nullptr);
     return fail("chaos: torn frame");
   }
-  if (!SendAll(bytes, deadline_us, error)) {
+  if (!obs::SendAll(fd_, bytes, deadline_us, error)) {
     Close();
     return false;
   }
@@ -635,24 +412,12 @@ bool RpcChannel::Call(uint32_t method, const std::string& request,
       return fail("bad response frame: " + err);
     }
     // kNeedMore: pull more bytes within the call budget.
-    char buf[4096];
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      in_.append(buf, static_cast<size_t>(n));
-      continue;
+    switch (obs::RecvSome(fd_, &in_, deadline_us)) {
+      case obs::RecvStatus::kData: continue;
+      case obs::RecvStatus::kClosed: return fail("connection closed by server");
+      case obs::RecvStatus::kTimeout: return fail("call timeout");
+      case obs::RecvStatus::kError: return fail("recv failed");
     }
-    if (n == 0) return fail("connection closed by server");
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      pollfd p{fd_, POLLIN, 0};
-      int wait_ms =
-          static_cast<int>((deadline_us - obs::NowMicros()) / 1000.0);
-      if (wait_ms <= 0 || ::poll(&p, 1, wait_ms) <= 0) {
-        return fail("call timeout");
-      }
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return fail("recv failed");
   }
 }
 

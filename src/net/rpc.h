@@ -12,17 +12,18 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "obs/socket.h"
 #include "obs/sync.h"
 
 namespace lcrec::net {
 
 /// Binary RPC endpoints over the frame format in frame.h. The server is
-/// the same single poll-loop shape as obs::HttpServer (PR 7) — one
-/// non-blocking event thread, a self-pipe for wakeups — with one
-/// addition: handlers run on a small dispatcher pool and complete
-/// through a completion queue, because Recommend blocks for a batch
-/// tick and a blocking handler inside the poll loop would serialize the
-/// very concurrency the batch engine exists to exploit.
+/// a protocol on its own obs::EventLoop (obs/socket.h), the loop
+/// obs::HttpServer also runs on, with one addition: handlers run on a
+/// small dispatcher pool and complete through a completion queue,
+/// because Recommend blocks for a batch tick and a blocking handler
+/// inside the poll loop would serialize the very concurrency the batch
+/// engine exists to exploit.
 ///
 /// Mutex ranks here sit at 14–19, below every serve-layer rank (20+):
 /// dispatcher threads call into serve::Server with no net lock held, so
@@ -47,7 +48,7 @@ struct RpcServerOptions {
   int dispatch_threads = 8;
 };
 
-class RpcServer {
+class RpcServer final : private obs::ConnHandler {
  public:
   explicit RpcServer(RpcServerOptions options = {});
   ~RpcServer();
@@ -76,7 +77,7 @@ class RpcServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   /// Bound port, or -1 when not running.
-  int port() const { return port_.load(std::memory_order_acquire); }
+  int port() const { return loop_.port(); }
 
   struct Stats {
     int64_t conns_accepted = 0;
@@ -92,16 +93,7 @@ class RpcServer {
   std::string StatuszText() const;
 
  private:
-  struct Conn {
-    uint64_t id = 0;
-    int fd = -1;
-    std::string in;
-    std::string out;
-    size_t sent = 0;
-    int inflight = 0;       // requests dispatched, response not yet queued
-    bool closing = false;   // flush out, then close (protocol violation)
-    double last_active_us = 0.0;
-  };
+  using Conn = obs::Conn;
   struct Work {
     uint64_t conn_id = 0;
     Frame frame;
@@ -111,15 +103,19 @@ class RpcServer {
     std::string bytes;
   };
 
-  void Loop();
-  void DispatchLoop();
-  void WakeLoop();
-  void AcceptPending();
+  // obs::ConnHandler, on the loop thread.
+  bool OnAccept(Conn* conn, bool over_capacity) override;
+  /// Decodes complete frames and queues them for the dispatchers.
   /// Returns false when the connection must close.
-  bool ReadFrames(Conn* conn);
-  bool WriteSome(Conn* conn);
+  bool OnRead(Conn* conn, bool eof) override;
+  bool Expired(const Conn& conn, double now_us) override;
+  /// Drain step 1 and the completion merge.
+  void BeginPass() override;
+  /// Drain step 3: true until the drained server is quiet.
+  bool EndPass(size_t open_conns) override;
+
+  void DispatchLoop();
   void MergeCompletions();
-  Conn* FindConn(uint64_t id);
   void QueueErrorFrame(Conn* conn, uint32_t method, uint64_t request_id,
                        const std::string& text);
 
@@ -142,7 +138,7 @@ class RpcServer {
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<int> port_{-1};
+  bool pass_draining_ = false;    // draining_ as of this pass; loop thread
   std::atomic<int> inflight_{0};  // enqueue → completion merged
 
   std::atomic<int64_t> conns_accepted_{0};
@@ -152,12 +148,8 @@ class RpcServer {
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> errors_{0};
 
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
-  uint64_t next_conn_id_ = 1;        // loop thread only
-  std::vector<Conn> conns_;          // loop thread only
-  std::thread loop_thread_;
-  std::vector<std::thread> dispatchers_;
+  obs::EventLoop loop_{this};  // its thread uses the members above
+  std::vector<std::thread> dispatchers_;  // wake loop_: declared after it
 };
 
 struct RpcClientOptions {
@@ -195,9 +187,6 @@ class RpcChannel {
             std::string* response, std::string* error);
 
  private:
-  bool SendAll(const std::string& bytes, double deadline_us,
-               std::string* error);
-
   std::string host_;
   int port_;
   RpcClientOptions options_;

@@ -1,22 +1,11 @@
 #include "obs/http.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "core/check.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -70,9 +59,12 @@ std::string RenderResponse(const HttpResponse& resp, bool head_only) {
   return out;
 }
 
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+/// Queues `resp` as the connection's only answer: stop reading, flush,
+/// close.
+void Respond(Conn* conn, const HttpResponse& resp, bool head_only) {
+  conn->out = RenderResponse(resp, head_only);
+  conn->reading = false;
+  conn->closing = true;
 }
 
 std::string UrlDecode(const std::string& s) {
@@ -182,67 +174,21 @@ bool HttpServer::StartOn(HttpServerOptions options, std::string* error) {
 }
 
 bool HttpServer::Start(std::string* error) {
-  auto fail = [this, error](const std::string& why) {
-    if (error != nullptr) *error = why + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
-    for (int& fd : wake_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    return false;
-  };
   if (running()) return true;
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (inet_pton(AF_INET, options_.bind_host.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) {
-      *error = "bad bind host '" + options_.bind_host + "'";
-    }
+  if (!loop_.Start({.bind_host = options_.bind_host,
+                    .port = options_.port,
+                    .max_connections = options_.max_connections,
+                    .max_read_bytes = options_.max_request_bytes},
+                   error)) {
     return false;
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return fail("bind");
-  }
-  if (::listen(listen_fd_, options_.max_connections) != 0) {
-    return fail("listen");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return fail("getsockname");
-  }
-  if (!SetNonBlocking(listen_fd_)) return fail("fcntl");
-  if (::pipe(wake_fds_) != 0) return fail("pipe");
-  SetNonBlocking(wake_fds_[0]);
-
-  port_.store(ntohs(addr.sin_port), std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { Loop(); });
   return true;
 }
 
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Wake the poll loop; it tears down every fd on the way out.
-  char byte = 'x';
-  ssize_t ignored = ::write(wake_fds_[1], &byte, 1);
-  (void)ignored;
-  if (thread_.joinable()) thread_.join();
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  wake_fds_[0] = wake_fds_[1] = -1;
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  port_.store(-1, std::memory_order_release);
+  loop_.Stop();
 }
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
@@ -272,206 +218,69 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
   return resp;
 }
 
-bool HttpServer::ReadAndMaybeDispatch(Conn* conn) {
-  char buf[2048];
-  for (;;) {
-    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->in.append(buf, static_cast<size_t>(n));
-      if (conn->in.size() > options_.max_request_bytes) {
-        HttpResponse resp;
-        resp.status = 431;
-        resp.body = "request head over " +
-                    std::to_string(options_.max_request_bytes) + " bytes\n";
-        HttpMetrics::Get().bad_requests.Increment();
-        conn->out = RenderResponse(resp, /*head_only=*/false);
-        conn->responding = true;
-        return true;
-      }
-      size_t head_end = conn->in.find("\r\n\r\n");
-      if (head_end == std::string::npos) continue;
-      HttpRequest req;
-      HttpResponse resp;
-      if (!ParseRequestLine(conn->in, &req)) {
-        resp.status = 400;
-        resp.body = "malformed request line\n";
-        HttpMetrics::Get().bad_requests.Increment();
-      } else {
-        resp = Dispatch(req);
-      }
-      conn->out = RenderResponse(resp, req.method == "HEAD");
-      conn->responding = true;
-      return true;
-    }
-    if (n == 0) return false;  // peer closed before a full request
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    return false;
+bool HttpServer::OnRead(Conn* conn, bool eof) {
+  if (conn->in.size() > options_.max_request_bytes) {
+    HttpMetrics::Get().bad_requests.Increment();
+    Respond(conn,
+            {.status = 431,
+             .body = "request head over " +
+                     std::to_string(options_.max_request_bytes) + " bytes\n"},
+            /*head_only=*/false);
+    return true;
   }
+  if (conn->in.find("\r\n\r\n") == std::string::npos) {
+    return !eof;  // peer closed before a full request
+  }
+  HttpRequest req;
+  HttpResponse resp;
+  if (!ParseRequestLine(conn->in, &req)) {
+    resp.status = 400;
+    resp.body = "malformed request line\n";
+    HttpMetrics::Get().bad_requests.Increment();
+  } else {
+    resp = Dispatch(req);
+  }
+  Respond(conn, resp, req.method == "HEAD");
+  return true;
 }
 
-bool HttpServer::WriteSome(Conn* conn) {
-  while (conn->sent < conn->out.size()) {
-    ssize_t n = ::send(conn->fd, conn->out.data() + conn->sent,
-                       conn->out.size() - conn->sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
+bool HttpServer::OnAccept(Conn* conn, bool over_capacity) {
+  if (over_capacity) {
+    // Over capacity: answer 503 without reading the request, so a
+    // scraper stampede degrades politely instead of exhausting fds.
+    HttpMetrics::Get().dropped.Increment();
+    Respond(conn, {.status = 503, .body = "debugz connection limit reached\n"},
+            /*head_only=*/false);
   }
-  return false;  // fully flushed: close
+  return true;
 }
 
-void HttpServer::AcceptOne() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN/EINTR/...: back to poll
-    SetNonBlocking(fd);
-    Conn conn;
-    conn.fd = fd;
-    conn.open_us = NowMicros();
-    if (conns_scratch_.size() >=
-        static_cast<size_t>(options_.max_connections)) {
-      // Over capacity: answer 503 without reading the request, so a
-      // scraper stampede degrades politely instead of exhausting fds.
-      HttpMetrics::Get().dropped.Increment();
-      HttpResponse resp;
-      resp.status = 503;
-      resp.body = "debugz connection limit reached\n";
-      conn.out = RenderResponse(resp, /*head_only=*/false);
-      conn.responding = true;
-    }
-    conns_scratch_.push_back(std::move(conn));
-  }
-}
-
-void HttpServer::Loop() {
-  std::vector<pollfd> pfds;
-  for (;;) {
-    pfds.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (const Conn& c : conns_scratch_) {
-      pfds.push_back({c.fd, static_cast<short>(c.responding ? POLLOUT
-                                                            : POLLIN),
-                      0});
-    }
-    int rc = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/250);
-    if (!running_.load(std::memory_order_acquire)) break;
-    if (rc < 0 && errno != EINTR) break;
-
-    double now = NowMicros();
-    size_t keep = 0;
-    for (size_t i = 0; i < conns_scratch_.size(); ++i) {
-      Conn& c = conns_scratch_[i];
-      const pollfd& p = pfds[i + 2];
-      bool alive = true;
-      if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-          !c.responding) {
-        alive = false;
-      } else if (c.responding) {
-        if ((p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-          alive = WriteSome(&c);
-        }
-      } else if ((p.revents & POLLIN) != 0) {
-        alive = ReadAndMaybeDispatch(&c);
-      }
-      if (alive &&
-          now - c.open_us > options_.idle_timeout_s * 1e6) {
-        alive = false;
-      }
-      if (alive) {
-        if (keep != i) conns_scratch_[keep] = std::move(c);
-        ++keep;
-      } else {
-        ::close(c.fd);
-      }
-    }
-    conns_scratch_.resize(keep);
-    if ((pfds[1].revents & POLLIN) != 0) AcceptOne();
-  }
-  for (Conn& c : conns_scratch_) ::close(c.fd);
-  conns_scratch_.clear();
+bool HttpServer::Expired(const Conn& conn, double now_us) {
+  // Timed from accept, not from the last byte: a request that trickles
+  // in cannot hold a slot past the timeout.
+  return now_us - conn.open_us > options_.idle_timeout_s * 1e6;
 }
 
 bool HttpRawExchange(const std::string& host, int port, const std::string& raw,
                      std::string* response_text, std::string* error,
                      double timeout_s) {
-  auto fail = [error](int fd, const std::string& why) {
-    if (fd >= 0) ::close(fd);
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return fail(-1, "bad host '" + host + "'");
-  }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail(fd, "socket failed");
-  SetNonBlocking(fd);
-  double deadline = NowMicros() + timeout_s * 1e6;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) return fail(fd, "connect failed");
-    pollfd p{fd, POLLOUT, 0};
-    if (::poll(&p, 1, static_cast<int>(timeout_s * 1000.0)) <= 0) {
-      return fail(fd, "connect timeout");
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
-    if (soerr != 0) return fail(fd, "connect refused");
-  }
-
-  const std::string& req = raw;  // bytes sent verbatim
-  size_t sent = 0;
-  while (sent < req.size()) {
-    ssize_t n =
-        ::send(fd, req.data() + sent, req.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd, POLLOUT, 0};
-      int wait_ms = static_cast<int>((deadline - NowMicros()) / 1000.0);
-      if (wait_ms <= 0 || ::poll(&p, 1, wait_ms) <= 0) {
-        return fail(fd, "send timeout");
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return fail(fd, "send failed");
-  }
-
+  const double deadline = NowMicros() + timeout_s * 1e6;
+  int fd = ConnectTcp(host, port, timeout_s, error);
+  if (fd < 0) return false;
+  bool ok = SendAll(fd, raw, deadline, error);  // bytes sent verbatim
   std::string received;
-  char buf[4096];
-  for (;;) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      received.append(buf, static_cast<size_t>(n));
-      continue;
+  while (ok) {
+    RecvStatus st = RecvSome(fd, &received, deadline);
+    if (st == RecvStatus::kClosed) break;  // server closed: response complete
+    if (st == RecvStatus::kData) continue;
+    if (error != nullptr) {
+      *error = st == RecvStatus::kTimeout ? "recv timeout" : "recv failed";
     }
-    if (n == 0) break;  // server closed: response complete
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      pollfd p{fd, POLLIN, 0};
-      int wait_ms = static_cast<int>((deadline - NowMicros()) / 1000.0);
-      if (wait_ms <= 0 || ::poll(&p, 1, wait_ms) <= 0) {
-        return fail(fd, "recv timeout");
-      }
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return fail(fd, "recv failed");
+    ok = false;
   }
-  ::close(fd);
-  *response_text = std::move(received);
-  return true;
+  CloseSocket(fd);
+  if (ok) *response_text = std::move(received);
+  return ok;
 }
 
 bool HttpGet(const std::string& host, int port, const std::string& target,

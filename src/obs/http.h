@@ -6,9 +6,9 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "obs/socket.h"
 #include "obs/sync.h"
 
 namespace lcrec::obs {
@@ -63,17 +63,19 @@ struct HttpServerOptions {
   double idle_timeout_s = 10.0;
 };
 
-/// Minimal dependency-free HTTP/1.1 server: one background thread, raw
-/// sockets, a poll() event loop, bounded everything. Every lcrec binary
-/// embeds one (via obs::DebugServer) for live introspection, and it is
-/// the only place in the repo allowed to touch the socket API (enforced
-/// by the lcrec_lint raw-socket rule) — the future RPC front-end builds
-/// on this event loop rather than growing a second one.
+/// Minimal dependency-free HTTP/1.1 server: the HTTP protocol on top of
+/// an obs::EventLoop (socket.h), which owns the listener, the poll()
+/// thread and the connection buffers. Every lcrec binary embeds
+/// one (via obs::DebugServer) for live introspection; net::RpcServer is
+/// the other protocol built on EventLoop. Bounded everything: over
+/// max_connections a connection is answered 503 without being read, a
+/// head over max_request_bytes gets 431, and a connection still open
+/// idle_timeout_s after accept is dropped.
 ///
 /// Responses are built in memory and written with connection: close.
 /// That is the right trade for an introspection port: no keep-alive
 /// state machine, no chunked encoding, no content negotiation.
-class HttpServer {
+class HttpServer final : private ConnHandler {
  public:
   explicit HttpServer(HttpServerOptions options = {});
   ~HttpServer();
@@ -102,41 +104,25 @@ class HttpServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Bound port (the kernel's pick when options.port was 0); -1 before
   /// Start.
-  int port() const { return port_.load(std::memory_order_acquire); }
+  int port() const { return loop_.port(); }
 
   /// Paths with a registered handler, sorted (for index pages).
   std::vector<std::string> HandlerPaths() const;
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::string in;       // bytes read so far (request head)
-    std::string out;      // rendered response bytes
-    size_t sent = 0;      // bytes of `out` written
-    bool responding = false;  // request parsed, response queued
-    double open_us = 0.0;     // NowMicros at accept
-  };
-
-  void Loop();
-  void AcceptOne();
-  /// Reads from `conn`; on a complete request head, dispatches and
-  /// queues the response. Returns false when the connection should
-  /// close now.
-  bool ReadAndMaybeDispatch(Conn* conn);
-  /// Flushes queued bytes. Returns false when done or broken (close).
-  bool WriteSome(Conn* conn);
+  bool OnAccept(Conn* conn, bool over_capacity) override;
+  /// On a complete request head, dispatches and queues the response.
+  bool OnRead(Conn* conn, bool eof) override;
+  bool Expired(const Conn& conn, double now_us) override;
   HttpResponse Dispatch(const HttpRequest& request);
 
   HttpServerOptions options_;
-  std::vector<Conn> conns_scratch_;  // event-loop thread only
   std::atomic<bool> running_{false};
-  std::atomic<int> port_{-1};
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: Stop() wakes poll()
-  std::thread thread_;
 
   mutable Mutex mu_{"obs.http.handlers", 95};
   std::map<std::string, HttpHandler> handlers_ LCREC_GUARDED_BY(mu_);
+
+  EventLoop loop_{this};  // last: its thread uses the members above
 };
 
 /// Blocking HTTP GET against a local server — the repo's raw-socket test

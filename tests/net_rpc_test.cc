@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +272,102 @@ TEST(RpcTest, ChaosTornFrameIsRejectedByPeerAndRetried) {
   EXPECT_GE(client.stats().retries, 1);
   EXPECT_EQ(server.stats().requests, 1);  // the remnant never dispatched
   serve::chaos::DisarmChaos();
+}
+
+TEST(RpcTest, OverCapacityConnectionIsRefused) {
+  RpcServerOptions sopts;
+  sopts.max_connections = 1;
+  RpcServer server(sopts);
+  RegisterEcho(&server);
+  ASSERT_TRUE(server.Start());
+
+  // The first channel answers a call, so the server has accepted it and
+  // it holds the one slot while it stays open.
+  RpcClientOptions copts = ClientTo(server);
+  copts.max_retries = 0;
+  RpcChannel holder(kLoopback, server.port(), copts);
+  std::string response;
+  std::string error;
+  ASSERT_TRUE(holder.Call(kEchoMethod, "held", &response, &error)) << error;
+
+  // A second connection is closed without an answer and counted.
+  RpcChannel refused(kLoopback, server.port(), copts);
+  EXPECT_FALSE(refused.Call(kEchoMethod, "refused", &response, &error));
+  EXPECT_FALSE(refused.connected());
+  EXPECT_EQ(server.stats().conns_dropped, 1);
+  EXPECT_EQ(server.stats().conns_accepted, 1);
+  EXPECT_EQ(server.stats().requests, 1);
+
+  // The held connection is unaffected.
+  ASSERT_TRUE(holder.Call(kEchoMethod, "still held", &response, &error))
+      << error;
+  EXPECT_EQ(response, "still held");
+}
+
+TEST(RpcTest, IdleConnectionIsClosed) {
+  RpcServerOptions sopts;
+  sopts.idle_timeout_s = 0.3;
+  RpcServer server(sopts);
+  RegisterEcho(&server);
+  ASSERT_TRUE(server.Start());
+
+  // A connection that never sends is closed by the server after the idle
+  // timeout, well before this client's own 10 s deadline. HttpRawExchange
+  // returns once the server closes, with whatever it wrote: nothing.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string raw;
+  std::string error;
+  ASSERT_TRUE(
+      obs::HttpRawExchange(kLoopback, server.port(), "", &raw, &error, 10.0))
+      << error;
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_TRUE(raw.empty());
+  EXPECT_GE(waited_s, 0.25);
+  EXPECT_LT(waited_s, 5.0);
+  EXPECT_EQ(server.stats().conns_accepted, 1);
+}
+
+TEST(RpcTest, PipelinedFramesInOneWriteAreAllAnswered) {
+  RpcServerOptions sopts;
+  sopts.idle_timeout_s = 0.5;
+  RpcServer server(sopts);
+  RegisterEcho(&server);
+  ASSERT_TRUE(server.Start());
+
+  // Two request frames leave in a single send on one socket. Both are
+  // answered on that socket, matched by request id; the server closes the
+  // connection once it has been idle, which ends the exchange.
+  Frame first;
+  first.method = kEchoMethod;
+  first.request_id = 7;
+  first.payload = "first";
+  Frame second;
+  second.method = kEchoMethod;
+  second.request_id = 8;
+  second.payload = "second";
+  std::string raw;
+  std::string error;
+  ASSERT_TRUE(obs::HttpRawExchange(kLoopback, server.port(),
+                                   EncodeFrame(first) + EncodeFrame(second),
+                                   &raw, &error, 10.0))
+      << error;
+
+  std::map<uint64_t, std::string> answers;
+  while (!raw.empty()) {
+    Frame f;
+    size_t used = 0;
+    std::string err;
+    ASSERT_EQ(DecodeFrame(raw, &f, &used, &err), FrameStatus::kOk) << err;
+    EXPECT_EQ(f.type, FrameType::kResponse);
+    answers[f.request_id] = f.payload;
+    raw.erase(0, used);
+  }
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[7], "first");
+  EXPECT_EQ(answers[8], "second");
+  EXPECT_EQ(server.stats().frames_in, 2);
 }
 
 TEST(RpcTest, StatuszTextReportsState) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -145,6 +146,69 @@ TEST(HttpServerTest, HeadRequestOmitsBody) {
   ASSERT_NE(head_end, std::string::npos);
   EXPECT_EQ(raw.substr(head_end + 4), "");  // headers only
   EXPECT_NE(raw.find("Content-Length:"), std::string::npos) << raw;
+}
+
+TEST(HttpServerTest, OverCapacityAnswers503) {
+  obs::HttpServerOptions options;
+  options.max_connections = 1;
+  options.idle_timeout_s = 30.0;
+  ScopedEchoServer server(options);
+  const int port = server.port();
+  obs::Counter& dropped =
+      obs::MetricsRegistry::Global().GetCounter("lcrec.debugz.http_dropped");
+  const int64_t dropped_before = dropped.value();
+
+  // The holder sends half a request head and waits, which keeps the one
+  // slot taken until the server stops. If a probe won the slot first the
+  // holder is the one answered 503, so it reconnects until it holds.
+  std::atomic<bool> done{false};
+  std::thread holder([port, &done] {
+    while (!done.load()) {
+      std::string raw, err;
+      obs::HttpRawExchange(kLoopback, port, "GET /echo HTTP/1.1\r\n", &raw,
+                           &err, 30.0);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // The probe sends nothing: an over-capacity connection is answered
+  // without the server reading a request. A probe that took the slot
+  // instead gets no answer and gives up after its short timeout.
+  std::string raw;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    std::string err;
+    if (obs::HttpRawExchange(kLoopback, port, "", &raw, &err, 0.3) &&
+        raw.find("HTTP/1.1 503") != std::string::npos) {
+      break;
+    }
+    raw.clear();
+  }
+  done.store(true);
+  server.get().Stop();
+  holder.join();
+  EXPECT_NE(raw.find("HTTP/1.1 503"), std::string::npos) << raw;
+  EXPECT_NE(raw.find("connection limit"), std::string::npos) << raw;
+  EXPECT_GT(dropped.value(), dropped_before);
+}
+
+TEST(HttpServerTest, IdleConnectionIsClosed) {
+  obs::HttpServerOptions options;
+  options.idle_timeout_s = 0.3;
+  ScopedEchoServer server(options);
+  // A connection that never sends is closed by the server after the idle
+  // timeout, well before this client's own 10 s deadline, and nothing is
+  // written to it.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string raw, error;
+  ASSERT_TRUE(obs::HttpRawExchange(kLoopback, server.port(), "", &raw, &error,
+                                   10.0))
+      << error;
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_TRUE(raw.empty()) << raw;
+  EXPECT_GE(waited_s, 0.25);
+  EXPECT_LT(waited_s, 5.0);
 }
 
 TEST(RecentTimelinesTest, RingKeepsNewestOldestFirst) {

@@ -39,13 +39,14 @@
 //                                   design.
 //                                   std::thread::hardware_concurrency()
 //                                   queries are exempt.
-//   raw-socket             (all minus src/obs/http* and src/net/)
-//                                   calling the POSIX socket API
-//                                   (socket/bind/listen/accept/connect):
+//   raw-socket             (all minus src/obs/socket.cc) calling
+//                                   the POSIX socket API (socket/bind/
+//                                   listen/accept/connect/poll/pipe):
 //                                   all networking funnels through the
-//                                   two audited event loops,
-//                                   obs::HttpServer/HttpGet and
-//                                   net::RpcServer/RpcClient.
+//                                   one audited socket layer,
+//                                   obs::EventLoop and its client
+//                                   helpers, which obs::HttpServer and
+//                                   net::RpcServer/RpcChannel build on.
 //   metric-name            (src/)   a string-literal metric name passed
 //                                   to GetCounter/GetGauge/GetHistogram
 //                                   must match lcrec\.[a-z0-9_.]+ so the
@@ -371,8 +372,8 @@ void LintFile(const std::string& rel_path, const std::string& text,
   const bool in_obs = StartsWith(rel_path, "src/obs/");
   const bool in_ckpt = StartsWith(rel_path, "src/ckpt/");
   const bool in_serve = StartsWith(rel_path, "src/serve/");
-  const bool in_http = StartsWith(rel_path, "src/obs/http");
   const bool in_net = StartsWith(rel_path, "src/net/");
+  const bool in_socket_layer = rel_path == "src/obs/socket.cc";
 
   std::vector<std::string> raw_lines = SplitLines(text);
   std::vector<std::string> code_lines =
@@ -490,17 +491,17 @@ void LintFile(const std::string& rel_path, const std::string& text,
         }
       }
     }
-    if (!in_http && !in_net) {
-      static const char* kSocketCalls[] = {"socket", "bind", "listen",
-                                           "accept", "connect"};
+    if (!in_socket_layer) {
+      static const char* kSocketCalls[] = {"socket", "bind",    "listen",
+                                           "accept", "connect", "poll",
+                                           "pipe"};
       for (const char* call : kSocketCalls) {
         if (ContainsSocketCall(line, call)) {
           add(line_no, "raw-socket",
               std::string(call) +
-                  "() outside src/obs/http and src/net — all networking "
-                  "funnels through the two audited event loops "
-                  "(obs::HttpServer / obs::HttpGet and net::RpcServer / "
-                  "net::RpcClient)");
+                  "() outside src/obs/socket.cc — all networking funnels "
+                  "through the one audited socket layer (obs::EventLoop, "
+                  "obs::ConnectTcp / SendAll / RecvSome)");
           break;  // one finding per line even when several names match
         }
       }
